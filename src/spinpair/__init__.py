@@ -42,16 +42,12 @@ from .qmath import (
     trace_out_system,
 )
 from .scenarios import (
+    SPECS,
     BasisChoice,
     DegenerateConfigError,
     ScenarioConfig,
     ScenarioId,
     ScenarioReport,
-    run_changed_correlations,
-    run_classical_correlations,
-    run_entanglement,
-    run_linear_baseline,
-    run_no_correlations,
     run_scenario,
 )
 from .states import (

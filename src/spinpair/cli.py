@@ -17,22 +17,16 @@ import numpy as np
 
 from .dynamics_nonlinear import Trajectory
 from .scenarios import (
+    SPECS,
     BasisChoice,
-    DegenerateConfigError,
     ScenarioConfig,
     ScenarioId,
     ScenarioReport,
     run_scenario,
 )
 
-SCENARIOS: dict[str, tuple[ScenarioId, str]] = {
-    "sec3": (ScenarioId.LINEAR_BASELINE, "randomized linear-theory suite (alias: linear)"),
-    "sec5": (ScenarioId.NO_CORRELATIONS, "uncorrelated preparation; remote measurement changes nothing"),
-    "sec6": (ScenarioId.CLASSICAL_CORRELATIONS, "classically correlated preparation vs the uncorrelated baseline"),
-    "sec7": (ScenarioId.CHANGED_CORRELATIONS, "two decompositions of the same reduced state, different dynamics"),
-    "sec8": (ScenarioId.ENTANGLEMENT, "singlet preparation; remote basis choice selects the dynamics"),
-}
 ALIASES = {"linear": "sec3"}
+BY_NAME = {spec.name: scenario for scenario, spec in SPECS.items()}
 
 
 class UsageError(Exception):
@@ -56,27 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"probability must lie in [0, 1], got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"value must be positive, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"value must be >= 1, got {text}")
-    return value
-
-
 def _precision(text: str) -> int:
     value = int(text)
     if not 6 <= value <= 17:
@@ -93,10 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one scenario and export its report")
     run_p.add_argument("scenario", help="scenario name; see 'spinpair list'")
-    run_p.add_argument("--p", type=_probability, default=None, help="mixing weight (default 0.75)")
+    run_p.add_argument("--p", type=float, default=None, help="mixing weight (default 0.75)")
     run_p.add_argument("--epsilon", type=float, default=None, help="precession scale (default 1.0)")
-    run_p.add_argument("--t-max", type=_positive_float, default=None, help="end of the time grid (default 10)")
-    run_p.add_argument("--dt", type=_positive_float, default=None, help="grid spacing (default 1e-3)")
+    run_p.add_argument("--t-max", type=float, default=None, help="end of the time grid (default 10)")
+    run_p.add_argument("--dt", type=float, default=None, help="grid spacing (default 1e-3)")
     run_p.add_argument(
         "--basis",
         choices=[b.value for b in BasisChoice],
@@ -104,13 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="remote basis to feature in the entanglement scenario",
     )
     run_p.add_argument("--seed", type=int, default=None, help="seed for the randomized suite (default 42)")
-    run_p.add_argument("--trials", type=_positive_int, default=None, help="trials for the randomized suite (default 1000)")
+    run_p.add_argument("--trials", type=int, default=None, help="trials for the randomized suite (default 1000)")
     run_p.add_argument("--out", default=None, help="output file (default: stdout)")
-    run_p.add_argument("--format", choices=["csv", "json"], default="csv")
+    run_p.add_argument(
+        "--format", choices=["csv", "json"], default=None, help="default csv; sec3 is json only"
+    )
     run_p.add_argument("--precision", type=_precision, default=12)
 
     verify_p = sub.add_parser("verify-linear", help="run the randomized linear-theory suite")
-    verify_p.add_argument("--trials", type=_positive_int, default=None)
+    verify_p.add_argument("--trials", type=int, default=None)
     verify_p.add_argument("--seed", type=int, default=None)
     verify_p.add_argument("--out", default=None)
     verify_p.add_argument("--format", choices=["csv", "json"], default="json")
@@ -122,15 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_scenario_config(ns: argparse.Namespace) -> ScenarioConfig:
     overrides = {}
-    for attr, key in (
-        ("p", "p"),
-        ("epsilon", "epsilon"),
-        ("t_max", "t_max"),
-        ("dt", "dt"),
-        ("seed", "seed"),
-        ("trials", "trials"),
-    ):
-        value = getattr(ns, attr, None)
+    for key in ("p", "epsilon", "t_max", "dt", "seed", "trials"):
+        value = getattr(ns, key, None)
         if value is not None:
             overrides[key] = value
     basis = getattr(ns, "basis", None)
@@ -149,21 +117,18 @@ def parse_args(argv) -> RunConfig:
         raise UsageError("a command is required: run, verify-linear, or list")
     if ns.command == "list":
         return RunConfig("list", None, ScenarioConfig(), None, "csv", 12)
-    if ns.command == "verify-linear":
-        return RunConfig(
-            "verify-linear",
-            ScenarioId.LINEAR_BASELINE,
-            _build_scenario_config(ns),
-            ns.out,
-            ns.format,
-            ns.precision,
-        )
-    name = ALIASES.get(ns.scenario, ns.scenario)
-    if name not in SCENARIOS:
-        valid = ", ".join(list(SCENARIOS) + list(ALIASES))
-        raise UsageError(f"unknown scenario {ns.scenario!r}; valid names: {valid}")
-    scenario, _ = SCENARIOS[name]
-    return RunConfig("run", scenario, _build_scenario_config(ns), ns.out, ns.format, ns.precision)
+    # verify-linear is the linear suite under its own flags
+    requested = "linear" if ns.command == "verify-linear" else ns.scenario
+    name = ALIASES.get(requested, requested)
+    if name not in BY_NAME:
+        valid = ", ".join([*BY_NAME, *ALIASES])
+        raise UsageError(f"unknown scenario {requested!r}; valid names: {valid}")
+    scenario = BY_NAME[name]
+    has_arms = bool(SPECS[scenario].arms)
+    if ns.format == "csv" and not has_arms:
+        raise UsageError(f"{name} has no trajectories to write as CSV; use --format json")
+    fmt = ns.format or ("csv" if has_arms else "json")
+    return RunConfig(ns.command, scenario, _build_scenario_config(ns), ns.out, fmt, ns.precision)
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -253,8 +218,10 @@ def emit_report(report: ScenarioReport, cfg: RunConfig) -> int:
 
 def _print_scenario_list() -> None:
     print("available scenarios:")
-    for name, (_, description) in SCENARIOS.items():
-        print(f"  {name:10s} {description}")
+    aliases = {target: alias for alias, target in ALIASES.items()}
+    for name, scenario in BY_NAME.items():
+        note = f" (alias: {aliases[name]})" if name in aliases else ""
+        print(f"  {name:10s} {SPECS[scenario].summary}{note}")
     for alias, target in ALIASES.items():
         print(f"  {alias:10s} alias for {target}")
 
@@ -270,7 +237,7 @@ def main(argv=None) -> int:
         return 0
     try:
         report = run_scenario(cfg.scenario, cfg.config)
-    except (DegenerateConfigError, ValueError) as exc:
+    except ValueError as exc:  # DegenerateConfigError or an invalid grid
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

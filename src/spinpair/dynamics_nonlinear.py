@@ -17,6 +17,7 @@ form, and the two must agree to tight tolerance.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -134,13 +135,16 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
         return np.zeros(1)
     if dt > t_max:
         raise ValueError(f"dt ({dt!r}) must not exceed t_max ({t_max!r})")
-    count = int(np.floor(t_max / dt + 1e-9))
-    times = dt * np.arange(count + 1, dtype=float)
-    if times[-1] >= t_max - 1e-9 * dt:
-        times[-1] = t_max
-    else:
-        times = np.append(times, t_max)
+    times = dt * np.arange(grid_points(t_max, dt), dtype=float)
+    times[-1] = t_max
     return times
+
+
+def grid_points(t_max: float, dt: float) -> int:
+    """Number of points time_grid(t_max, dt) returns, counted without building
+    them: a last step shorter than dt adds one point."""
+    count = math.floor(t_max / dt + 1e-9)
+    return count + 1 if dt * count >= t_max - 1e-9 * dt else count + 2
 
 
 def integrate_rk4(b0, epsilon: float, t_max: float, dt: float) -> Trajectory:

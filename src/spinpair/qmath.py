@@ -37,8 +37,6 @@ for _m in _PAULI:
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 IDENTITY_2.setflags(write=False)
-IDENTITY_4 = np.eye(4, dtype=complex)
-IDENTITY_4.setflags(write=False)
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -156,8 +154,3 @@ def is_density(matrix, atol: float = ATOL) -> bool:
     if abs(complex(np.trace(m)) - 1.0) > atol:
         return False
     return bool(np.min(np.diag(m).real) >= -atol)
-
-
-def is_normalized(vector, atol: float = ATOL) -> bool:
-    v = _as_vector(vector, "vector")
-    return bool(abs(float(np.linalg.norm(v)) - 1.0) <= atol)

@@ -17,14 +17,7 @@ from spinpair.dynamics_nonlinear import (
     fixed_rate,
     integrate_rk4,
 )
-from spinpair.scenarios import (
-    BasisChoice,
-    ScenarioConfig,
-    run_changed_correlations,
-    run_classical_correlations,
-    run_entanglement,
-    run_no_correlations,
-)
+from spinpair.scenarios import BasisChoice, ScenarioConfig, ScenarioId, run_scenario
 
 SQRT2 = np.sqrt(2.0)
 DEFAULTS = ScenarioConfig()
@@ -90,7 +83,7 @@ def test_criterion_2_nonlinear_oracle_equivalence():
 def test_criterion_3_uncorrelated_reproduction():
     """Both arms match the mixture waveform within 1e-8; the remote
     measurement moves nothing (divergence < 1e-10)."""
-    run = run_no_correlations(DEFAULTS)
+    run = run_scenario(ScenarioId.NO_CORRELATIONS, DEFAULTS)
     times = run.arms["armA"].times
     expected = mixture_s2(DEFAULTS.p, DEFAULTS.epsilon, times)
     err_a = float(np.max(np.abs(run.arms["armA"].sigma2 - expected)))
@@ -109,14 +102,15 @@ def test_criterion_4_classical_correlations_reproduction():
     at p = 3/4 it diverges from the uncorrelated result by more than 0.2."""
     worst = 0.0
     for p in (0.25, 0.5, 0.75):
-        run = run_classical_correlations(
-            ScenarioConfig(p=p, epsilon=1.0, t_max=10.0, dt=1e-3)
+        run = run_scenario(
+            ScenarioId.CLASSICAL_CORRELATIONS,
+            ScenarioConfig(p=p, epsilon=1.0, t_max=10.0, dt=1e-3),
         )
         times = run.arms["armA"].times
         worst = max(
             worst, float(np.max(np.abs(run.arms["armA"].sigma2 - pure_s2(1.0, times))))
         )
-    divergence = run_classical_correlations(DEFAULTS).divergence
+    divergence = run_scenario(ScenarioId.CLASSICAL_CORRELATIONS, DEFAULTS).divergence
     ok = worst < 1e-8 and divergence > 0.2
     report(
         4,
@@ -129,7 +123,7 @@ def test_criterion_4_classical_correlations_reproduction():
 def test_criterion_5_changed_correlations_reproduction():
     """Silent arm below 1e-10, oscillating arm within 1e-8, same reduced
     density matrices (1e-12), composite matrices apart by more than 0.1."""
-    run = run_changed_correlations(DEFAULTS)
+    run = run_scenario(ScenarioId.CHANGED_CORRELATIONS, DEFAULTS)
     times = run.arms["armA"].times
     silent = float(np.max(np.abs(run.arms["armA"].sigma2)))
     err_b = float(np.max(np.abs(run.arms["armB"].sigma2 - pure_s2(1.0, times))))
@@ -148,7 +142,7 @@ def test_criterion_5_changed_correlations_reproduction():
 def test_criterion_6_entanglement_reproduction():
     """Marker arm silent (< 1e-10), diagonal arm on the waveform (< 1e-8),
     signal magnitude 1/sqrt(2) within 1e-6."""
-    run = run_entanglement(ScenarioConfig(basis_choice=BasisChoice.DIAG))
+    run = run_scenario(ScenarioId.ENTANGLEMENT, ScenarioConfig(basis_choice=BasisChoice.DIAG))
     times = run.arms["armA"].times
     silent = float(np.max(np.abs(run.arms["armA"].sigma2)))
     err_b = float(np.max(np.abs(run.arms["armB"].sigma2 - pure_s2(1.0, times))))
@@ -165,15 +159,15 @@ def test_criterion_6_entanglement_reproduction():
 def test_criterion_7_linearity_restoration():
     """A state-independent precession in place of the mean-value law drives
     every scenario divergence below 1e-10."""
-    runners = {
-        "no-correlations": run_no_correlations,
-        "classical-correlations": run_classical_correlations,
-        "changed-correlations": run_changed_correlations,
-        "entanglement": run_entanglement,
-    }
+    scenarios = (
+        ScenarioId.NO_CORRELATIONS,
+        ScenarioId.CLASSICAL_CORRELATIONS,
+        ScenarioId.CHANGED_CORRELATIONS,
+        ScenarioId.ENTANGLEMENT,
+    )
     divergences = {
-        name: runner(DEFAULTS, rate_fn=fixed_rate(0.8)).divergence
-        for name, runner in runners.items()
+        scenario.value: run_scenario(scenario, DEFAULTS, rate_fn=fixed_rate(0.8)).divergence
+        for scenario in scenarios
     }
     worst = max(divergences.values())
     ok = worst < 1e-10

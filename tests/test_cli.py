@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ class TestParseArgs:
         assert cfg.scenario is ScenarioId.LINEAR_BASELINE
         assert cfg.config.trials == 10
         assert cfg.config.seed == 3
+        assert cfg.fmt == "json"  # the suite has no trajectories for a CSV
 
     def test_probability_bound_enforced(self):
         with pytest.raises(UsageError):
@@ -194,6 +197,39 @@ class TestMain:
         assert main(args + ["--out", str(first)]) == 0
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("command", [["run", "sec3"], ["run", "linear"], ["verify-linear"]])
+    def test_linear_suite_refuses_csv(self, command, tmp_path, capsys):
+        """The linear suite has no trajectories, so a CSV would hold only its header."""
+        path = tmp_path / "suite.csv"
+        assert main(command + ["--format", "csv", "--out", str(path)]) == 1
+        assert "--format json" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--t-max", "inf"], "t_max must be finite"),
+            (["--t-max", "1e12", "--dt", "1"], "grid points"),
+            (["--epsilon", "inf"], "epsilon must be finite"),
+            (["--trials", "1000001"], "trials"),
+        ],
+        ids=["t-max-inf", "grid-too-large", "epsilon-inf", "too-many-trials"],
+    )
+    def test_bad_numbers_exit_one_before_any_work(self, flags, message, tmp_path, capsys):
+        """Refused before the grid or the suite is allocated, with no warnings."""
+        path = tmp_path / "out.csv"
+        tracemalloc.start()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "sec5", *flags, "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not path.exists()
+        assert peak < 1_000_000
 
     def test_precision_caps_emitted_digits(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -7,6 +7,8 @@ test asserts them.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinpair.dynamics_nonlinear import (
     EvolutionPolicy,
@@ -15,6 +17,7 @@ from spinpair.dynamics_nonlinear import (
     eom_rhs,
     evolve_ensemble,
     fixed_rate,
+    grid_points,
     integrate_rk4,
     mean_field_rate,
     time_grid,
@@ -123,6 +126,21 @@ class TestTimeGrid:
             time_grid(1.0, -0.1)
         with pytest.raises(ValueError):
             time_grid(0.5, 1.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(t_max=st.floats(1e-3, 50.0), dt=st.floats(1e-3, 1.0))
+    def test_matches_the_step_by_step_construction(self, t_max, dt):
+        """Steps of dt up to t_max, the last one landing on t_max exactly or
+        shortened; grid_points counts them without building the grid."""
+        assume(dt <= t_max)
+        count = int(np.floor(t_max / dt + 1e-9))
+        expected = dt * np.arange(count + 1, dtype=float)
+        if expected[-1] >= t_max - 1e-9 * dt:
+            expected[-1] = t_max
+        else:
+            expected = np.append(expected, t_max)
+        np.testing.assert_array_equal(time_grid(t_max, dt), expected)
+        assert grid_points(t_max, dt) == expected.size
 
 
 class TestIntegrateRk4:
