@@ -16,18 +16,18 @@ import numpy as np
 
 from .measurement import (
     MeasurementBasis,
+    _require_projector,
     joint_probability_total,
     measure_all,
 )
 from .qmath import (
     IDENTITY_2,
+    checked,
     dagger,
-    is_projector,
     is_unitary,
     mean_value,
     projector,
     spin_unitary,
-    tensor,
     trace_out_remote,
 )
 from .states import Branch, Ensemble, density_of
@@ -43,9 +43,7 @@ class ProductUnitary:
     def __post_init__(self) -> None:
         frozen = []
         for name, raw in (("system_u", self.system_u), ("remote_u", self.remote_u)):
-            arr = np.asarray(raw, dtype=complex)
-            if arr.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2, got shape {arr.shape}")
+            arr = checked(raw, name, (2, 2))
             if not is_unitary(arr):
                 raise ValueError(f"{name} is not unitary within tolerance")
             arr = arr.copy()
@@ -55,7 +53,7 @@ class ProductUnitary:
         object.__setattr__(self, "remote_u", frozen[1])
 
     def composite(self) -> np.ndarray:
-        return tensor(self.system_u, self.remote_u)
+        return np.kron(self.system_u, self.remote_u)
 
 
 def evolve(ensemble: Ensemble, uv: ProductUnitary) -> Ensemble:
@@ -72,11 +70,9 @@ def heisenberg_probability(proposition, uv: ProductUnitary, ensemble: Ensemble) 
     never depends on the remote factor is a consequence to be verified, not
     an assumption to be baked in.
     """
-    prop = np.asarray(proposition, dtype=complex)
-    if not is_projector(prop):
-        raise ValueError("proposition must be a hermitian projector")
+    prop = _require_projector(proposition, "proposition")
     w = uv.composite()
-    advanced = dagger(w) @ tensor(prop, IDENTITY_2) @ w
+    advanced = dagger(w) @ np.kron(prop, IDENTITY_2) @ w
     return mean_value(advanced, density_of(ensemble))
 
 
@@ -184,7 +180,7 @@ def no_signalling_suite(trials: int, rng_seed: int) -> NoSignallingReport:
 
         advanced = dagger(u) @ prop @ u
         reduced_value = mean_value(advanced, rho_sys)
-        prop_composite = tensor(prop, IDENTITY_2)
+        prop_composite = np.kron(prop, IDENTITY_2)
         interposed = 0.0
         for outcome in measure_all(ens, basis):
             evolved = evolve(outcome.post_state, uv)

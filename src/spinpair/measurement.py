@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import ATOL, IDENTITY_2, is_projector, mean_value, projector, tensor
+from .qmath import ATOL, IDENTITY_2, checked, is_projector, mean_value, projector
 from .states import Branch, Ensemble, density_of
 
 # Outcomes and branches below this probability are treated as impossible;
@@ -44,12 +44,7 @@ class MeasurementBasis:
             raise ValueError("measurement basis needs at least one projector")
         frozen = []
         for index, raw in enumerate(self.projectors):
-            arr = np.asarray(raw, dtype=complex)
-            if arr.shape != (2, 2):
-                raise ValueError(f"projector {index} must be 2x2, got shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"projector {index} contains non-finite entries")
-            arr = arr.copy()
+            arr = checked(raw, f"projector {index}", (2, 2)).copy()
             arr.setflags(write=False)
             frozen.append(arr)
         object.__setattr__(self, "projectors", tuple(frozen))
@@ -109,16 +104,14 @@ def validate_basis(basis: MeasurementBasis, atol: float = ATOL) -> BasisReport:
 
 def _embed(effect: np.ndarray, subsystem: str) -> np.ndarray:
     if subsystem == "remote":
-        return tensor(IDENTITY_2, effect)
+        return np.kron(IDENTITY_2, effect)
     if subsystem == "system":
-        return tensor(effect, IDENTITY_2)
+        return np.kron(effect, IDENTITY_2)
     raise ValueError(f"subsystem must be 'remote' or 'system', got {subsystem!r}")
 
 
 def _require_projector(effect, name: str = "effect") -> np.ndarray:
-    arr = np.asarray(effect, dtype=complex)
-    if arr.shape != (2, 2):
-        raise ValueError(f"{name} must be a 2x2 matrix, got shape {arr.shape}")
+    arr = checked(effect, name, (2, 2))
     if not is_projector(arr):
         raise ValueError(f"{name} must be a hermitian projector")
     return arr
@@ -135,7 +128,10 @@ def collapse(ensemble: Ensemble, effect, subsystem: str = "remote") -> Ensemble:
 
     Raises ImpossibleOutcomeError when the outcome has zero probability.
     """
-    embedded = _embed(_require_projector(effect), subsystem)
+    return _collapse(ensemble, _embed(_require_projector(effect), subsystem))
+
+
+def _collapse(ensemble: Ensemble, embedded: np.ndarray) -> Ensemble:
     kept: list[tuple[float, np.ndarray]] = []
     total_mass = 0.0
     for branch in ensemble.branches:
@@ -159,11 +155,13 @@ def measure_all(
     report = validate_basis(basis)
     if not report.ok:
         raise ValueError("invalid measurement basis: " + "; ".join(report.violations))
+    rho = density_of(ensemble)
     outcomes = []
     for index, effect in enumerate(basis.projectors):
-        prob = outcome_probability(ensemble, effect, subsystem)
+        embedded = _embed(effect, subsystem)
+        prob = mean_value(embedded, rho)
         if prob > PROB_FLOOR:
-            outcomes.append(OutcomeBranch(index, prob, collapse(ensemble, effect, subsystem)))
+            outcomes.append(OutcomeBranch(index, prob, _collapse(ensemble, embedded)))
     return tuple(outcomes)
 
 

@@ -8,6 +8,10 @@ the slow, left Kronecker factor and the non-interacting companion spin
 
 Only dimensions 2 and 4 are supported, and every eigenvector the package
 needs has a closed form, so there is no general eigensolver here.
+
+Arrays are validated once, where they enter: public functions and value-type
+constructors pass array arguments through checked, which names the argument
+in its error; internal code passes already validated arrays straight to numpy.
 """
 
 from __future__ import annotations
@@ -39,19 +43,13 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 IDENTITY_2.setflags(write=False)
 
 
-def _as_matrix(value, name: str) -> np.ndarray:
+def checked(value, name: str, *shapes: tuple[int, ...]) -> np.ndarray:
+    """value as a complex array of one of the given shapes with only finite entries;
+    ValueError naming the argument otherwise."""
     arr = np.asarray(value, dtype=complex)
-    if arr.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"{name} must be a 2x2 or 4x4 matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def _as_vector(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=complex)
-    if arr.shape not in ((2,), (4,)):
-        raise ValueError(f"{name} must be a 2- or 4-component vector, got shape {arr.shape}")
+    if arr.shape not in shapes:
+        expected = " or ".join(map(str, shapes))
+        raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -66,38 +64,30 @@ def pauli(axis: int) -> np.ndarray:
 
 def dagger(matrix) -> np.ndarray:
     """Conjugate transpose."""
-    return _as_matrix(matrix, "matrix").conj().T.copy()
+    return checked(matrix, "matrix", (2, 2), (4, 4)).conj().T.copy()
 
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two 2x2 operators, system factor slow, remote fast."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError(f"tensor expects two 2x2 matrices, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
+    return np.kron(checked(a, "a", (2, 2)), checked(b, "b", (2, 2)))
 
 
 def trace_out_remote(composite) -> np.ndarray:
     """Reduced 2x2 operator for the system spin: partial trace over the remote factor."""
-    m = _as_matrix(composite, "composite")
-    if m.shape != (4, 4):
-        raise ValueError(f"composite must be 4x4, got shape {m.shape}")
+    m = checked(composite, "composite", (4, 4))
     return np.trace(m.reshape(2, 2, 2, 2), axis1=1, axis2=3)
 
 
 def trace_out_system(composite) -> np.ndarray:
     """Reduced 2x2 operator for the remote spin: partial trace over the system factor."""
-    m = _as_matrix(composite, "composite")
-    if m.shape != (4, 4):
-        raise ValueError(f"composite must be 4x4, got shape {m.shape}")
+    m = checked(composite, "composite", (4, 4))
     return np.trace(m.reshape(2, 2, 2, 2), axis1=0, axis2=2)
 
 
 def mean_value(operator, rho) -> float:
     """Real expectation Tr[operator @ rho] of a hermitian operator on a state."""
-    a = _as_matrix(operator, "operator")
-    r = _as_matrix(rho, "rho")
+    a = checked(operator, "operator", (2, 2), (4, 4))
+    r = checked(rho, "rho", (2, 2), (4, 4))
     if a.shape != r.shape:
         raise ValueError(f"operator and state dimensions differ: {a.shape} vs {r.shape}")
     value = complex(np.trace(a @ r))
@@ -124,7 +114,7 @@ def spin_unitary(axis, angle: float) -> np.ndarray:
 
 def projector(vector) -> np.ndarray:
     """Rank-1 projector |v><v| onto a normalized vector."""
-    v = _as_vector(vector, "vector")
+    v = checked(vector, "vector", (2,), (4,))
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > ATOL:
         raise ValueError(f"vector must be normalized, got norm {norm!r}")
@@ -132,23 +122,23 @@ def projector(vector) -> np.ndarray:
 
 
 def is_hermitian(matrix, atol: float = ATOL) -> bool:
-    m = _as_matrix(matrix, "matrix")
+    m = checked(matrix, "matrix", (2, 2), (4, 4))
     return bool(np.max(np.abs(m - m.conj().T)) <= atol)
 
 
 def is_unitary(matrix, atol: float = ATOL) -> bool:
-    m = _as_matrix(matrix, "matrix")
+    m = checked(matrix, "matrix", (2, 2), (4, 4))
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= atol)
 
 
 def is_projector(matrix, atol: float = ATOL) -> bool:
-    m = _as_matrix(matrix, "matrix")
+    m = checked(matrix, "matrix", (2, 2), (4, 4))
     return is_hermitian(m, atol) and bool(np.max(np.abs(m @ m - m)) <= atol)
 
 
 def is_density(matrix, atol: float = ATOL) -> bool:
     """Hermitian, unit trace, and no negative real part on the diagonal."""
-    m = _as_matrix(matrix, "matrix")
+    m = checked(matrix, "matrix", (2, 2), (4, 4))
     if not is_hermitian(m, atol):
         return False
     if abs(complex(np.trace(m)) - 1.0) > atol:

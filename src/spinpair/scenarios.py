@@ -109,6 +109,10 @@ class ScenarioConfig:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if float(self.t_max) <= 0.0:
             raise ValueError(f"t_max must be positive, got {self.t_max!r}")
+        if not math.isfinite(2.0 * abs(self.epsilon) * self.t_max):  # largest precession angle
+            raise ValueError(
+                f"precession angle 2 * |epsilon| * t_max overflows for epsilon {self.epsilon!r}"
+            )
         too_fine = self.t_max / self.dt >= MAX_GRID_POINTS  # also catches a ratio of inf
         if too_fine or grid_points(self.t_max, self.dt) > MAX_GRID_POINTS:
             raise ValueError(f"t_max / dt asks for over {MAX_GRID_POINTS} grid points per arm")

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .qmath import mean_value, pauli, trace_out_remote
+from .qmath import checked, mean_value, pauli, trace_out_remote
 
 NORM_ATOL = 1e-12
 
@@ -69,11 +69,7 @@ class Branch:
         weight = float(self.weight)
         if not np.isfinite(weight) or weight < -NORM_ATOL or weight > 1.0 + NORM_ATOL:
             raise ValueError(f"branch weight must lie in [0, 1], got {weight!r}")
-        vec = np.asarray(self.vector, dtype=complex)
-        if vec.shape != (4,):
-            raise ValueError(f"branch vector must have 4 components, got shape {vec.shape}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("branch vector contains non-finite entries")
+        vec = checked(self.vector, "branch vector", (4,))
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"branch vector must be normalized, got norm {norm!r}")
@@ -178,10 +174,7 @@ def branch_bloch(branch: Branch) -> BlochVector:
 def _weighted_parts(parts, name: str) -> list[tuple[float, np.ndarray]]:
     out = []
     for weight, vector in parts:
-        vec = np.asarray(vector, dtype=complex)
-        if vec.shape != (2,):
-            raise ValueError(f"{name} vectors must have 2 components, got shape {vec.shape}")
-        out.append((float(weight), vec))
+        out.append((float(weight), checked(vector, f"{name} vector", (2,))))
     if not out:
         raise ValueError(f"{name} parts must not be empty")
     total = math.fsum(w for w, _ in out)
@@ -227,16 +220,14 @@ def correlated_ensemble(
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    ra = np.asarray(remote_a, dtype=complex)
-    rb = np.asarray(remote_b, dtype=complex)
-    if ra.shape != (2,) or rb.shape != (2,):
-        raise ValueError("remote marker states must be 2-vectors")
+    ra = checked(remote_a, "remote_a", (2,))
+    rb = checked(remote_b, "remote_b", (2,))
     overlap = abs(complex(np.vdot(ra, rb)))
     if overlap > NORM_ATOL:
         raise ValueError(f"remote marker states must be orthogonal, got overlap {overlap:.3e}")
     return Ensemble(
         (
-            Branch(p, np.kron(np.asarray(system_a, dtype=complex), ra)),
-            Branch(1.0 - p, np.kron(np.asarray(system_b, dtype=complex), rb)),
+            Branch(p, np.kron(checked(system_a, "system_a", (2,)), ra)),
+            Branch(1.0 - p, np.kron(checked(system_b, "system_b", (2,)), rb)),
         )
     )

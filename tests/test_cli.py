@@ -213,8 +213,17 @@ class TestMain:
             (["--t-max", "1e12", "--dt", "1"], "grid points"),
             (["--epsilon", "inf"], "epsilon must be finite"),
             (["--trials", "1000001"], "trials"),
+            (["--epsilon", "1e308"], "precession angle"),
+            (["--epsilon", "1e306", "--t-max", "1000", "--dt", "1"], "precession angle"),
         ],
-        ids=["t-max-inf", "grid-too-large", "epsilon-inf", "too-many-trials"],
+        ids=[
+            "t-max-inf",
+            "grid-too-large",
+            "epsilon-inf",
+            "too-many-trials",
+            "angle-overflow",
+            "angle-overflow-at-t-max",
+        ],
     )
     def test_bad_numbers_exit_one_before_any_work(self, flags, message, tmp_path, capsys):
         """Refused before the grid or the suite is allocated, with no warnings."""
@@ -230,6 +239,14 @@ class TestMain:
         assert err.startswith("error:") and message in err
         assert not path.exists()
         assert peak < 1_000_000
+
+    def test_negative_exponent_notation_is_a_number(self, tmp_path):
+        """"--epsilon -1e-3" is the value -1e-3, not an unknown option."""
+        args = ["run", "sec5", "--t-max", "1", "--dt", "0.1", "--out"]
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert main([*args, str(spaced), "--epsilon", "-1e-3"]) == 0
+        assert main([*args, str(joined), "--epsilon=-1e-3"]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
 
     def test_precision_caps_emitted_digits(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -6,9 +6,12 @@ E Pi E / Tr[E Pi E] computed independently in the tests.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpair.dynamics_linear import random_basis, random_ensemble, random_projector_2
 from spinpair.measurement import (
+    PROB_FLOOR,
     ImpossibleOutcomeError,
     MeasurementBasis,
     basis_from_vectors,
@@ -47,9 +50,9 @@ def singlet_prep():
     return Ensemble((Branch(1.0, singlet()),))
 
 
-def luders_density(ensemble, effect):
+def luders_density(ensemble, effect, subsystem="remote"):
     """Independent matrix-level route: project the density matrix and renormalize."""
-    e4 = tensor(IDENTITY_2, effect)
+    e4 = tensor(IDENTITY_2, effect) if subsystem == "remote" else tensor(effect, IDENTITY_2)
     projected = e4 @ density_of(ensemble) @ e4
     return projected / np.trace(projected)
 
@@ -134,18 +137,29 @@ class TestCollapse:
         after = trace_out_remote(density_of(collapse(prep, effect)))
         np.testing.assert_allclose(after, before, atol=ATOL)
 
-    def test_matches_matrix_level_projection(self):
-        """Branch-level collapse reproduces E Pi E / Tr[E Pi E] entrywise."""
-        rng = np.random.default_rng(34)
-        checked = 0
-        while checked < 25:
-            ens = random_ensemble(rng)
-            effect = random_projector_2(rng)
-            if outcome_probability(ens, effect) < 1e-6:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), subsystem=st.sampled_from(["remote", "system"]))
+    def test_matches_matrix_level_projection(self, seed, subsystem):
+        """Every outcome measure_all reports has exactly outcome_probability's
+        probability, and its post-state, like collapse's, reproduces
+        E Pi E / Tr[E Pi E] entrywise; the outcomes it drops cannot fire."""
+        rng = np.random.default_rng(seed)
+        ens = random_ensemble(rng)
+        basis = random_basis(rng)
+        probs = [outcome_probability(ens, effect, subsystem) for effect in basis.projectors]
+        outcomes = measure_all(ens, basis, subsystem)
+        assert [o.outcome_index for o in outcomes] == [
+            index for index, prob in enumerate(probs) if prob > PROB_FLOOR
+        ]
+        for outcome in outcomes:
+            effect = basis.projectors[outcome.outcome_index]
+            assert outcome.probability == probs[outcome.outcome_index]
+            if outcome.probability < 1e-6:  # renormalizing amplifies roundoff past ATOL
                 continue
-            post = collapse(ens, effect)
-            np.testing.assert_allclose(density_of(post), luders_density(ens, effect), atol=ATOL)
-            checked += 1
+            expected = luders_density(ens, effect, subsystem)
+            np.testing.assert_allclose(density_of(outcome.post_state), expected, atol=ATOL)
+            collapsed = collapse(ens, effect, subsystem)
+            np.testing.assert_allclose(density_of(collapsed), expected, atol=ATOL)
 
     def test_repeatability(self):
         rng = np.random.default_rng(35)

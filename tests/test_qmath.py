@@ -4,10 +4,14 @@ Every assertion comes from a textbook identity or an independent entrywise
 construction written out in the test body.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from spinpair import qmath
+from spinpair.dynamics_linear import ProductUnitary, heisenberg_probability
+from spinpair.measurement import MeasurementBasis
 from spinpair.qmath import (
     ConsistencyError,
     IDENTITY_2,
@@ -24,6 +28,7 @@ from spinpair.qmath import (
     trace_out_remote,
     trace_out_system,
 )
+from spinpair.states import DOWN, UP, Branch, Ensemble, correlated_ensemble, product_ensemble
 
 ATOL = 1e-12
 
@@ -262,3 +267,43 @@ class TestPredicates:
     def test_projector_flag(self):
         assert is_projector(np.diag([1.0, 0.0]).astype(complex))
         assert not is_projector(0.5 * IDENTITY_2)
+
+
+# Every public entry point that takes an array: (call on the array, the
+# name its error gives the array, the shape it accepts).
+SINGLE_UP = Ensemble((Branch(1.0, np.kron(UP, UP)),))
+BOUNDARIES = {
+    "Branch": (lambda x: Branch(1.0, x), "branch vector", (4,)),
+    "MeasurementBasis": (lambda x: MeasurementBasis((x, IDENTITY_2)), "projector 0", (2, 2)),
+    "ProductUnitary": (lambda x: ProductUnitary(IDENTITY_2, x), "remote_u", (2, 2)),
+    "product_ensemble": (
+        lambda x: product_ensemble([(1.0, x)], [(1.0, UP)]), "system vector", (2,)
+    ),
+    "correlated_ensemble": (
+        lambda x: correlated_ensemble(0.5, UP, UP, DOWN, x), "remote_b", (2,)
+    ),
+    "tensor": (lambda x: tensor(IDENTITY_2, x), "b", (2, 2)),
+    "trace_out_remote": (trace_out_remote, "composite", (4, 4)),
+    "projector": (projector, "vector", (2,)),
+    "heisenberg_probability": (
+        lambda x: heisenberg_probability(x, ProductUnitary(IDENTITY_2, IDENTITY_2), SINGLE_UP),
+        "proposition",
+        (2, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", ["nan-entry", "wrong-shape"])
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_boundary_rejects_bad_array_by_name(boundary, defect):
+    """One shared validator guards every boundary and names the argument."""
+    call, name, shape = BOUNDARIES[boundary]
+    if defect == "nan-entry":
+        value = np.zeros(shape)
+        value.flat[-1] = np.nan
+        reason = " contains non-finite entries"
+    else:
+        value = np.zeros((3,) * len(shape))
+        reason = " must have shape "
+    with pytest.raises(ValueError, match=re.escape(name + reason)):
+        call(value)

@@ -77,6 +77,14 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="grid points"):
             ScenarioConfig(t_max=1e300, dt=1e-300)
 
+    def test_rejects_an_overflowing_precession_angle(self):
+        """2 * |epsilon| * t_max bounds every angle the precession reaches."""
+        ScenarioConfig(epsilon=-5e306, t_max=10.0)
+        with pytest.raises(ValueError, match="precession angle"):
+            ScenarioConfig(epsilon=1e308)
+        with pytest.raises(ValueError, match="precession angle"):
+            ScenarioConfig(epsilon=-1e306, t_max=1000.0, dt=1.0)
+
     def test_trials_cap(self):
         ScenarioConfig(trials=MAX_TRIALS)
         with pytest.raises(ValueError, match="trials"):
