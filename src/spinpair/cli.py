@@ -8,13 +8,12 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .dynamics_nonlinear import Trajectory
 from .scenarios import (
@@ -49,8 +48,10 @@ class RunConfig:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads "-1e-3" as an option; take exponent notation as a number too
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.I)
+        # argparse reads "-1e-3" and "-inf" as options; take them as numbers too
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I
+        )
 
     def error(self, message: str):  # argparse would sys.exit(2); route to exit code 1
         raise UsageError(message)
@@ -69,36 +70,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-spin pair simulator: contrast linear dynamics with state-dependent precession.",
     )
     sub = parser.add_subparsers(dest="command")
+    # flags of the randomized suite and of export, shared by run and verify-linear
+    flags = _Parser(add_help=False)
+    flags.add_argument("--seed", type=int, help="seed for the randomized suite (default 42)")
+    flags.add_argument("--trials", type=int, help="trials for the randomized suite (default 1000)")
+    flags.add_argument("--out", help="output file (default: stdout)")
+    flags.add_argument("--format", choices=["csv", "json"], help="default csv; sec3 is json only")
+    flags.add_argument("--precision", type=_precision, default=12)
 
-    run_p = sub.add_parser("run", help="run one scenario and export its report")
+    run_p = sub.add_parser("run", parents=[flags], help="run one scenario and export its report")
     run_p.add_argument("scenario", help="scenario name; see 'spinpair list'")
-    run_p.add_argument("--p", type=float, default=None, help="mixing weight (default 0.75)")
-    run_p.add_argument("--epsilon", type=float, default=None, help="precession scale (default 1.0)")
-    run_p.add_argument("--t-max", type=float, default=None, help="end of the time grid (default 10)")
-    run_p.add_argument("--dt", type=float, default=None, help="grid spacing (default 1e-3)")
+    run_p.add_argument("--p", type=float, help="mixing weight (default 0.75)")
+    run_p.add_argument("--epsilon", type=float, help="precession scale (default 1.0)")
+    run_p.add_argument("--t-max", type=float, help="end of the time grid (default 10)")
+    run_p.add_argument("--dt", type=float, help="grid spacing (default 1e-3)")
     run_p.add_argument(
         "--basis",
         choices=[b.value for b in BasisChoice],
-        default=None,
         help="remote basis to feature in the entanglement scenario",
     )
-    run_p.add_argument("--seed", type=int, default=None, help="seed for the randomized suite (default 42)")
-    run_p.add_argument("--trials", type=int, default=None, help="trials for the randomized suite (default 1000)")
-    run_p.add_argument("--out", default=None, help="output file (default: stdout)")
-    run_p.add_argument(
-        "--format", choices=["csv", "json"], default=None, help="default csv; sec3 is json only"
-    )
-    run_p.add_argument("--precision", type=_precision, default=12)
-
-    verify_p = sub.add_parser("verify-linear", help="run the randomized linear-theory suite")
-    verify_p.add_argument("--trials", type=int, default=None)
-    verify_p.add_argument("--seed", type=int, default=None)
-    verify_p.add_argument("--out", default=None)
-    verify_p.add_argument("--format", choices=["csv", "json"], default="json")
-    verify_p.add_argument("--precision", type=_precision, default=12)
-
+    sub.add_parser("verify-linear", parents=[flags], help="run the randomized linear-theory suite")
     sub.add_parser("list", help="list scenario names")
     return parser
+
+
+PARSER = build_parser()
 
 
 def _build_scenario_config(ns: argparse.Namespace) -> ScenarioConfig:
@@ -118,12 +114,12 @@ def _build_scenario_config(ns: argparse.Namespace) -> ScenarioConfig:
 
 def parse_args(argv) -> RunConfig:
     """Parse the command line; raises UsageError on any malformed input."""
-    ns = build_parser().parse_args(list(argv))
+    ns = PARSER.parse_args(list(argv))
     if ns.command is None:
         raise UsageError("a command is required: run, verify-linear, or list")
     if ns.command == "list":
         return RunConfig("list", None, ScenarioConfig(), None, "csv", 12)
-    # verify-linear is the linear suite under its own flags
+    # verify-linear is `run linear`: the same suite, flags and defaults
     requested = "linear" if ns.command == "verify-linear" else ns.scenario
     name = ALIASES.get(requested, requested)
     if name not in BY_NAME:
@@ -155,12 +151,10 @@ def _jsonable(value, precision: int):
         return {str(k): _jsonable(v, precision) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v, precision) for v in value]
-    if isinstance(value, (float, np.floating)):
-        return _round(float(value), precision)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist(), precision)
+    if isinstance(value, float):
+        return _round(value, precision)
+    if isinstance(value, enum.Enum):
+        return value.value
     return value
 
 
@@ -179,32 +173,16 @@ def _render_csv(report: ScenarioReport, precision: int) -> str:
 
 def _render_json(report: ScenarioReport, precision: int) -> str:
     doc = {
-        "scenario": report.scenario.value,
-        "config": {
-            "p": _round(report.config.p, precision),
-            "epsilon": _round(report.config.epsilon, precision),
-            "t_max": _round(report.config.t_max, precision),
-            "dt": _round(report.config.dt, precision),
-            "basis_choice": report.config.basis_choice.value,
-            "seed": report.config.seed,
-            "trials": report.config.trials,
-        },
-        "divergence": _round(report.divergence, precision),
+        "scenario": report.scenario,
+        "config": asdict(report.config),
+        "divergence": report.divergence,
         "contracts_ok": report.contracts_ok,
-        "checks": [
-            {
-                "name": check.name,
-                "value": _round(check.value, precision),
-                "bound": _round(check.bound, precision),
-                "comparison": check.comparison,
-                "passed": check.passed,
-            }
-            for check in report.checks
-        ],
-        "arms": {name: _jsonable(traj, precision) for name, traj in report.arms.items()},
-        "narrative": _jsonable(report.narrative, precision),
+        "checks": [{**asdict(check), "passed": check.passed} for check in report.checks],
+        "arms": report.arms,
+        # until JSON booleans land, the narrative writes its flags as 0/1
+        "narrative": {k: int(v) if isinstance(v, bool) else v for k, v in report.narrative.items()},
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_jsonable(doc, precision), indent=2, sort_keys=True) + "\n"
 
 
 def emit_report(report: ScenarioReport, cfg: RunConfig) -> int:

@@ -172,7 +172,8 @@ def no_signalling_suite(trials: int, rng_seed: int) -> NoSignallingReport:
 
         rho_sys = trace_out_remote(density_of(ens))
         direct = mean_value(prop, rho_sys)
-        dev_sum = max(dev_sum, abs(joint_probability_total(prop, ens, basis) - direct))
+        outcomes = measure_all(ens, basis)
+        dev_sum = max(dev_sum, abs(joint_probability_total(prop, outcomes) - direct))
 
         h_first = heisenberg_probability(prop, uv, ens)
         h_second = heisenberg_probability(prop, ProductUnitary(u, v_alt), ens)
@@ -182,7 +183,7 @@ def no_signalling_suite(trials: int, rng_seed: int) -> NoSignallingReport:
         reduced_value = mean_value(advanced, rho_sys)
         prop_composite = np.kron(prop, IDENTITY_2)
         interposed = 0.0
-        for outcome in measure_all(ens, basis):
+        for outcome in outcomes:
             evolved = evolve(outcome.post_state, uv)
             interposed += outcome.probability * mean_value(prop_composite, density_of(evolved))
         dev_inter = max(dev_inter, abs(interposed - reduced_value))

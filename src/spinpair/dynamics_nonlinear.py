@@ -115,12 +115,10 @@ def eom_rhs(bloch, epsilon: float) -> np.ndarray:
 
 
 def closed_form(b0, epsilon: float, t: float) -> BlochVector:
-    """Exact solution: s3 constant, (s1, s2) rotated by the angle 2*eps*s3*t."""
+    """Exact solution: s3 constant, (s1, s2) rotated by the angle 2*eps*s3*t,
+    evaluated by the same rotation kernel as evolve_ensemble."""
     b0 = _as_bloch(b0)
-    angle = mean_field_rate(epsilon)(b0) * float(t)
-    c = float(np.cos(angle))
-    s = float(np.sin(angle))
-    return BlochVector(b0.s1 * c - b0.s2 * s, b0.s2 * c + b0.s1 * s, b0.s3)
+    return BlochVector(*_rotation_points(b0, mean_field_rate(epsilon)(b0), np.array([t]))[0])
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:

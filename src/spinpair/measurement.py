@@ -165,14 +165,14 @@ def measure_all(
     return tuple(outcomes)
 
 
-def joint_probability_total(proposition, ensemble: Ensemble, basis: MeasurementBasis) -> float:
+def joint_probability_total(proposition, outcomes: tuple[OutcomeBranch, ...]) -> float:
     """Sum over remote outcomes of P(outcome) * P(system proposition | outcome).
 
-    Computed the long way round, through the full outcome decomposition;
+    Computed the long way round, over a measure_all outcome decomposition;
     the no-signalling suite checks it against the undisturbed expectation.
     """
     embedded = _embed(_require_projector(proposition, "proposition"), "system")
     total = 0.0
-    for outcome in measure_all(ensemble, basis):
+    for outcome in outcomes:
         total += outcome.probability * mean_value(embedded, density_of(outcome.post_state))
     return total

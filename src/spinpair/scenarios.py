@@ -101,13 +101,15 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("p", "epsilon", "t_max", "dt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not 0.0 <= float(self.p) <= 1.0:
+            value = float(getattr(self, name))  # an int from a library caller is stored as float
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
+        if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p is a probability and must lie in [0, 1], got {self.p!r}")
-        if float(self.dt) <= 0.0:
+        if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if float(self.t_max) <= 0.0:
+        if self.t_max <= 0.0:
             raise ValueError(f"t_max must be positive, got {self.t_max!r}")
         if not math.isfinite(2.0 * abs(self.epsilon) * self.t_max):  # largest precession angle
             raise ValueError(

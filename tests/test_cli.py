@@ -81,7 +81,7 @@ def tiny_report(passed=True):
     check = ContractCheck("made-up bound", 0.0 if passed else 1.0, 0.5)
     return ScenarioReport(
         ScenarioId.NO_CORRELATIONS,
-        ScenarioConfig(t_max=1.0, dt=0.5),
+        ScenarioConfig(t_max=1, dt=0.5),  # an int, as a library caller may pass
         {"armA": arm_a, "armB": arm_b},
         0.25,
         {"description": "fixture", "value": 0.1},
@@ -125,6 +125,7 @@ class TestEmitReport:
         assert set(doc["arms"]) == {"armA", "armB"}
         assert doc["arms"]["armA"]["times"] == [0.0, 0.5, 1.0]
         assert doc["divergence"] == 0.25
+        assert isinstance(doc["config"]["t_max"], float)
         assert doc["narrative"]["description"] == "fixture"
         assert doc["contracts_ok"] is True
 
@@ -215,6 +216,8 @@ class TestMain:
             (["--trials", "1000001"], "trials"),
             (["--epsilon", "1e308"], "precession angle"),
             (["--epsilon", "1e306", "--t-max", "1000", "--dt", "1"], "precession angle"),
+            (["--epsilon", "-inf"], "epsilon must be finite"),
+            (["--p", "-nan"], "p must be finite"),
         ],
         ids=[
             "t-max-inf",
@@ -223,6 +226,8 @@ class TestMain:
             "too-many-trials",
             "angle-overflow",
             "angle-overflow-at-t-max",
+            "epsilon-minus-inf",
+            "p-minus-nan",
         ],
     )
     def test_bad_numbers_exit_one_before_any_work(self, flags, message, tmp_path, capsys):

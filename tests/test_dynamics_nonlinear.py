@@ -7,7 +7,7 @@ test asserts them.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinpair.dynamics_nonlinear import (
@@ -46,6 +46,18 @@ DIAG = BlochVector(1.0 / SQRT2, 0.0, 1.0 / SQRT2)
 def mixture_bloch(p):
     a = (2.0 * p - 1.0) / SQRT2
     return BlochVector(a, 0.0, a)
+
+
+BLOCH_BALL = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda c: c[0] ** 2 + c[1] ** 2 + c[2] ** 2 <= 1.0)
+    .map(lambda c: BlochVector(*c))
+)
+
+
+def pure_state(theta, phi):
+    """Normalized 2-vector at polar angle theta and azimuth phi on the Bloch sphere."""
+    return np.array([np.cos(theta / 2.0), np.exp(1.0j * phi) * np.sin(theta / 2.0)])
 
 
 class TestEomRhs:
@@ -148,14 +160,18 @@ class TestIntegrateRk4:
         traj = integrate_rk4(POLE, 1.0, 2.0, 1e-2)
         np.testing.assert_array_equal(traj.points, np.tile([0.0, 0.0, 1.0], (len(traj), 1)))
 
-    @pytest.mark.parametrize(
-        "start", [POLE, BlochVector(0.0, 0.0, -1.0), DIAG, mixture_bloch(0.75)]
-    )
-    def test_agrees_with_closed_form(self, start):
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(start=BLOCH_BALL, eps=st.floats(-3.0, 3.0), t_max=st.floats(0.5, 5.0))
+    @example(start=POLE, eps=1.0, t_max=10.0)
+    @example(start=BlochVector(0.0, 0.0, -1.0), eps=1.0, t_max=10.0)
+    @example(start=DIAG, eps=1.0, t_max=10.0)
+    @example(start=mixture_bloch(0.75), eps=1.0, t_max=10.0)
+    def test_agrees_with_closed_form(self, start, eps, t_max):
         """The integrator sees only the right-hand side; agreement with the
-        rotation formula validates both."""
-        traj = integrate_rk4(start, 1.0, 10.0, 1e-3)
-        expected = np.array([tuple(closed_form(start, 1.0, t)) for t in traj.times])
+        rotation kernel that closed_form shares with evolve_ensemble
+        validates both."""
+        traj = integrate_rk4(start, eps, t_max, 1e-3)
+        expected = np.array([tuple(closed_form(start, eps, t)) for t in traj.times])
         assert np.max(np.abs(traj.points - expected)) < 1e-8
 
     def test_third_component_never_drifts(self):
@@ -253,6 +269,32 @@ class TestEvolveEnsemble:
                 ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times, rate_fn=rate
             )
             assert np.max(np.abs(aggregate.points - branchwise.points)) < 1e-10
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        parts=st.lists(
+            st.tuples(st.floats(0.01, 1.0), st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi)),
+            min_size=1,
+            max_size=4,
+        ),
+        eps=st.floats(-3.0, 3.0),
+        data=st.data(),
+    )
+    def test_branch_means_ignores_branch_order(self, parts, eps, data):
+        """Permuting the product branches of an ensemble leaves the branch-wise
+        trajectory unchanged: it is a weighted sum over branches."""
+        total = sum(weight for weight, _, _ in parts)
+        remote = pure_state(1.1, 0.4)
+        branches = [
+            Branch(weight / total, np.kron(pure_state(theta, phi), remote))
+            for weight, theta, phi in parts
+        ]
+        order = data.draw(st.permutations(range(len(branches))))
+        times = time_grid(5.0, 1e-2)
+        policy = EvolutionPolicy.BRANCH_MEANS
+        original = evolve_ensemble(Ensemble(tuple(branches)), policy, eps, times)
+        permuted = evolve_ensemble(Ensemble(tuple(branches[i] for i in order)), policy, eps, times)
+        assert np.max(np.abs(original.points - permuted.points)) < 1e-12
 
     def test_entangled_branch_rejected_under_branch_means(self):
         ens = Ensemble((Branch(1.0, singlet()),))

@@ -226,7 +226,9 @@ class TestMeasureAll:
 class TestJointProbabilityTotal:
     def test_identity_proposition(self):
         rng = np.random.default_rng(38)
-        total = joint_probability_total(IDENTITY_2, random_ensemble(rng), random_basis(rng))
+        total = joint_probability_total(
+            IDENTITY_2, measure_all(random_ensemble(rng), random_basis(rng))
+        )
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_equals_undisturbed_expectation(self):
@@ -238,9 +240,12 @@ class TestJointProbabilityTotal:
             basis = random_basis(rng)
             prop = random_projector_2(rng)
             direct = mean_value(prop, trace_out_remote(density_of(ens)))
-            assert joint_probability_total(prop, ens, basis) == pytest.approx(direct, abs=1e-10)
+            total = joint_probability_total(prop, measure_all(ens, basis))
+            assert total == pytest.approx(direct, abs=1e-10)
 
     def test_singlet_up_proposition_is_half(self):
         rng = np.random.default_rng(40)
-        total = joint_probability_total(projector(UP), singlet_prep(), random_basis(rng))
+        total = joint_probability_total(
+            projector(UP), measure_all(singlet_prep(), random_basis(rng))
+        )
         assert total == pytest.approx(0.5, abs=1e-10)
