@@ -179,8 +179,7 @@ def _render_json(report: ScenarioReport, precision: int) -> str:
         "contracts_ok": report.contracts_ok,
         "checks": [{**asdict(check), "passed": check.passed} for check in report.checks],
         "arms": report.arms,
-        # until JSON booleans land, the narrative writes its flags as 0/1
-        "narrative": {k: int(v) if isinstance(v, bool) else v for k, v in report.narrative.items()},
+        "narrative": report.narrative,
     }
     return json.dumps(_jsonable(doc, precision), indent=2, sort_keys=True) + "\n"
 

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from spinpair import cli
 from spinpair.cli import RunConfig, UsageError, emit_report, main, parse_args
 from spinpair.dynamics_nonlinear import Trajectory
 from spinpair.scenarios import (
@@ -65,6 +66,14 @@ class TestParseArgs:
         assert cfg.command == "verify-linear"
         assert cfg.fmt == "json"
         assert cfg.config.trials == 5
+
+    def test_parser_keeps_no_state_between_calls(self, monkeypatch):
+        """The parser is built once, at import; flags given to one call do
+        not leak into the next."""
+        monkeypatch.setattr(cli, "build_parser", None)  # parse_args must not call it
+        parse_args(["run", "sec8", "--basis", "diag", "--p", "0.3", "--precision", "6"])
+        first_time = RunConfig("run", ScenarioId.ENTANGLEMENT, ScenarioConfig(), None, "csv", 12)
+        assert parse_args(["run", "sec8"]) == first_time
 
     def test_list_command(self):
         assert parse_args(["list"]).command == "list"
@@ -168,7 +177,9 @@ class TestMain:
             ["run", "sec5", "--t-max", "2", "--dt", "0.01", "--format", "json", "--out", str(path)]
         )
         assert code == 0
-        assert json.loads(path.read_text())["divergence"] < 1e-10
+        doc = json.loads(path.read_text())
+        assert doc["divergence"] < 1e-10
+        assert doc["narrative"]["rate_override"] is False
 
     def test_usage_error_exit_one(self, capsys):
         assert main(["run", "sec6", "--p", "1.5"]) == 1
