@@ -101,10 +101,10 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("p", "epsilon", "t_max", "dt"):
-            value = float(getattr(self, name))  # an int from a library caller is stored as float
+            value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, float(value))  # an int from a library caller, too
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p is a probability and must lie in [0, 1], got {self.p!r}")
         if self.dt <= 0.0:
