@@ -87,6 +87,10 @@ class DegenerateConfigError(ValueError):
     """The configuration collapses the scenario's contrast (e.g. p in {0, 1})."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Knobs shared by the scenarios; defaults resolve every contrast cleanly."""
@@ -118,8 +122,12 @@ class ScenarioConfig:
         too_fine = self.t_max / self.dt >= MAX_GRID_POINTS  # also catches a ratio of inf
         if too_fine or grid_points(self.t_max, self.dt) > MAX_GRID_POINTS:
             raise ValueError(f"t_max / dt asks for over {MAX_GRID_POINTS} grid points per arm")
-        if not 1 <= int(self.trials) <= MAX_TRIALS:
-            raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {self.trials!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not _is_int(self.trials) or not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(
+                f"trials must be an integer in [1, {MAX_TRIALS}], got {self.trials!r}"
+            )
 
 
 @dataclass(frozen=True)

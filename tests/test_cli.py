@@ -229,6 +229,7 @@ class TestMain:
             (["--epsilon", "1e306", "--t-max", "1000", "--dt", "1"], "precession angle"),
             (["--epsilon", "-inf"], "epsilon must be finite"),
             (["--p", "-nan"], "p must be finite"),
+            (["--seed", "-1"], "seed must be an integer >= 0"),
         ],
         ids=[
             "t-max-inf",
@@ -239,6 +240,7 @@ class TestMain:
             "angle-overflow-at-t-max",
             "epsilon-minus-inf",
             "p-minus-nan",
+            "negative-seed",
         ],
     )
     def test_bad_numbers_exit_one_before_any_work(self, flags, message, tmp_path, capsys):

@@ -1,27 +1,76 @@
 """Linear evolution and the randomized no-influence suite.
 
 Schroedinger and Heisenberg routes are computed independently and compared;
-the suite itself is the oracle for the no-influence identities.
+the suite itself is the oracle for the no-influence identities, and the
+per-trial public API is the oracle for the suite's batched kernel.
 """
+
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spinpair.dynamics_linear import (
-    NoSignallingReport,
-    ProductUnitary,
-    evolve,
-    heisenberg_probability,
-    no_signalling_suite,
+from random_inputs import (
     random_ensemble,
     random_product_unitary,
     random_projector_2,
     random_unitary_2,
 )
-from spinpair.qmath import IDENTITY_2, dagger, is_unitary, mean_value, pauli, projector, tensor, trace_out_remote
+from spinpair.dynamics_linear import (
+    CHUNK,
+    NoSignallingReport,
+    ProductUnitary,
+    TrialBatch,
+    draw_trials,
+    evolve,
+    heisenberg_probability,
+    no_signalling_suite,
+    trial_probabilities,
+)
+from spinpair.measurement import MeasurementBasis, joint_probability_total, measure_all
+from spinpair.qmath import (
+    IDENTITY_2,
+    ConsistencyError,
+    dagger,
+    is_unitary,
+    mean_value,
+    pauli,
+    projector,
+    tensor,
+    trace_out_remote,
+)
 from spinpair.states import UP, Branch, Ensemble, density_of, reduced_bloch
 
 ATOL = 1e-12
+
+ROUTES = ("direct", "joint", "heisenberg", "heisenberg_alt", "reduced", "interposed")
+
+
+def oracle(batch: TrialBatch, i: int) -> dict:
+    """Trial i of a draw_trials batch rebuilt as value types and run through
+    the per-trial public API, one route per TrialProbabilities field."""
+    ens = Ensemble(
+        tuple(Branch(batch.weights[i, b], batch.vectors[i, b]) for b in range(batch.branches[i]))
+    )
+    basis = MeasurementBasis(tuple(batch.basis[i]))
+    prop, u, v, v_alt = batch.proposition[i], batch.u[i], batch.v[i], batch.v_alt[i]
+    uv = ProductUnitary(u, v)
+    rho_sys = trace_out_remote(density_of(ens))
+    outcomes = measure_all(ens, basis)
+    prop_composite = np.kron(prop, IDENTITY_2)
+    interposed = 0.0
+    for outcome in outcomes:
+        evolved = evolve(outcome.post_state, uv)
+        interposed += outcome.probability * mean_value(prop_composite, density_of(evolved))
+    return {
+        "direct": mean_value(prop, rho_sys),
+        "joint": joint_probability_total(prop, outcomes),
+        "heisenberg": heisenberg_probability(prop, uv, ens),
+        "heisenberg_alt": heisenberg_probability(prop, ProductUnitary(u, v_alt), ens),
+        "reduced": mean_value(dagger(u) @ prop @ u, rho_sys),
+        "interposed": interposed,
+    }
 
 
 class TestProductUnitary:
@@ -140,6 +189,68 @@ class TestRandomGenerators:
             np.testing.assert_array_equal(a.vector, b.vector)
 
 
+class TestBatchedKernel:
+    def test_matches_the_per_trial_oracle(self):
+        """Each of the six routes, trial by trial; the gaps alone would not do,
+        since both sides sit near 1e-16 even when one route is wrong."""
+        counts, kinds = set(), set()
+        for seed in (70, 71, 72):
+            batch = draw_trials(np.random.default_rng(seed), 20)
+            batched = trial_probabilities(batch)
+            for i in range(len(batch)):
+                counts.add(int(batch.branches[i]))
+                for vec in batch.vectors[i, : batch.branches[i]]:
+                    kinds.add(abs(np.linalg.det(vec.reshape(2, 2))) < 1e-12)  # True: product
+                expected = oracle(batch, i)
+                for route in ROUTES:
+                    got = getattr(batched, route)[i]
+                    assert got == pytest.approx(expected[route], abs=ATOL), (seed, i, route)
+        assert counts == {1, 2, 3, 4}
+        assert kinds == {True, False}
+
+    def test_padding_slots_carry_no_weight(self):
+        batch = draw_trials(np.random.default_rng(73), 200)
+        padding = np.arange(4) >= batch.branches[:, None]
+        assert padding.any()
+        assert np.all(batch.weights[padding] == 0.0)
+        assert np.all(batch.weights[~padding] > 0.0)
+
+    @pytest.mark.parametrize(
+        "field, scale, message",
+        [
+            ("vectors", 1.1, "normalized"),
+            ("weights", 0.5, "sum to 1"),
+            ("u", 0.5, "u is not unitary"),
+            ("v", 0.5, "v is not unitary"),
+            ("v_alt", 0.5, "v_alt is not unitary"),
+            ("basis", 0.5, "idempotent"),
+            ("proposition", 1j, "hermitian"),
+        ],
+    )
+    def test_rejects_a_corrupted_trial_by_index(self, field, scale, message):
+        batch = draw_trials(np.random.default_rng(74), 5)
+        bad = getattr(batch, field).copy()
+        bad[3] = bad[3] * scale
+        with pytest.raises(ValueError, match=f"{message}.*trial 3 "):
+            trial_probabilities(replace(batch, **{field: bad}))
+
+    def test_rejects_an_incomplete_basis(self):
+        batch = draw_trials(np.random.default_rng(75), 5)
+        basis = batch.basis.copy()
+        basis[2, 1] = 0.0
+        with pytest.raises(ValueError, match="sum to the identity.*trial 2 "):
+            trial_probabilities(replace(batch, basis=basis))
+
+    def test_imaginary_expectation_raises(self):
+        """A complex 'weight' passes the sum check yet makes Tr(Q rho) complex."""
+        batch = draw_trials(np.random.default_rng(76), 5)
+        weights = batch.weights.astype(complex)
+        weights[0, 0] += 1e-3j
+        weights[0, 1] -= 1e-3j
+        with pytest.raises(ConsistencyError, match="imaginary residue"):
+            trial_probabilities(replace(batch, weights=weights))
+
+
 class TestNoSignallingSuite:
     def test_small_run_stays_below_tolerance(self):
         report = no_signalling_suite(200, 42)
@@ -165,6 +276,17 @@ class TestNoSignallingSuite:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             no_signalling_suite(0, 1)
+
+    def test_memory_stays_within_one_chunk(self):
+        """Trials are drawn and evaluated a chunk at a time, so tripling the
+        trial count past one chunk must not triple the peak."""
+        peaks = []
+        for trials in (CHUNK, 3 * CHUNK):
+            tracemalloc.start()
+            no_signalling_suite(trials, 77)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_max_deviation_is_the_componentwise_max(self):
         report = NoSignallingReport(1, 0, 1e-13, 3e-13, 2e-13)

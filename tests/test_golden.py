@@ -13,7 +13,7 @@ from spinpair.cli import main
 
 # verify-linear and `run sec3 --format json` resolve to the same scenario and
 # the same defaults, so they must write the same bytes.
-LINEAR_SHA256 = "1dae6a19cb0629b4c93db8265a1ad3ba2204d5cedd46f44f5edbec5cf33eea01"
+LINEAR_SHA256 = "9304bf2e2f4d5911a38e6d0a2ee44a47a336ec73ad66879aa4eb3063d40a282e"
 
 GOLDEN = {
     "sec5-csv": (["run", "sec5", "--format", "csv"], "f6fdfb858c6ac1a9167db2383f09c8277a59af4ab03a324ca552c10c608ab90d"),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpair.dynamics_linear import random_basis, random_ensemble, random_projector_2
+from random_inputs import random_basis, random_ensemble, random_projector_2
 from spinpair.measurement import (
     PROB_FLOOR,
     ImpossibleOutcomeError,

@@ -90,6 +90,16 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="trials"):
             ScenarioConfig(trials=MAX_TRIALS + 1)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
+    def test_rejects_a_trial_count_that_is_not_an_integer(self, value):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            ScenarioConfig(trials=value)
+
+    @pytest.mark.parametrize("value", [-1, 1.5, None])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, value):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            ScenarioConfig(seed=value)
+
 
 class TestContractCheck:
     def test_comparisons(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinpair.dynamics_linear import random_ensemble, random_state_vector
+from random_inputs import random_ensemble, random_state_vector
 from spinpair.qmath import is_density, is_hermitian, mean_value, pauli, projector, trace_out_remote
 from spinpair.states import (
     DOWN,
