@@ -1,4 +1,5 @@
-"""Golden outputs: SHA-256 of every default-config export.
+"""Golden outputs: SHA-256 of every default-config export and of three
+non-default precisions.
 
 A refactor of the scenario, measurement, dynamics or export code must leave
 these bytes unchanged. A change that alters an output on purpose updates the
@@ -27,6 +28,20 @@ GOLDEN = {
     "sec8-diag-json": (
         ["run", "sec8", "--basis", "diag", "--format", "json"],
         "83eb0401930bd672e6785c651310363c9419c7217eeb662ccde5ac505f6669c2",
+    ),
+    # non-default precisions: 17 takes the repr spelling of every float in
+    # JSON, 6 the shortest texts, 16 the longest CSV texts
+    "sec8-json-p17": (
+        ["run", "sec8", "--format", "json", "--precision", "17"],
+        "950d3c550d30246a4049ba7e25b64a75377da845a3df55d927bd5140be15fd1c",
+    ),
+    "sec5-json-p6": (
+        ["run", "sec5", "--format", "json", "--precision", "6"],
+        "87dde8196f6a004eeb22374e8fa9b23ea9f8e8e20079aee8f52ed6dda9cdee1b",
+    ),
+    "sec7-csv-p16": (
+        ["run", "sec7", "--format", "csv", "--precision", "16"],
+        "fac96cd5c599fad548afff79f53511e8c014959757699839d0754eafd0eb1f5c",
     ),
     "verify-linear": (["verify-linear"], LINEAR_SHA256),
     "sec3-json": (["run", "sec3", "--format", "json"], LINEAR_SHA256),
