@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .dynamics_nonlinear import Trajectory
@@ -27,6 +28,7 @@ from .scenarios import (
 
 ALIASES = {"linear": "sec3"}
 BY_NAME = {spec.name: scenario for scenario, spec in SPECS.items()}
+_SLOT = re.compile(r'"\\u0000(\d+)\\u0000"')  # a trajectory's placeholder, as json.dumps writes it
 
 
 class UsageError(Exception):
@@ -133,26 +135,56 @@ def parse_args(argv) -> RunConfig:
     return RunConfig(ns.command, scenario, _build_scenario_config(ns), ns.out, fmt, ns.precision)
 
 
-def _fmt(value: float, precision: int) -> str:
-    return format(float(value), f".{precision}g")
+def _float_texts(values, precision: int, as_json: bool = False) -> list[str]:
+    """The `%.{precision}g` text of each value of an array, in C order; as
+    JSON, spelled the way json writes float(text)."""
+    spec = f"%.{precision}g"
+    texts = [spec % x for x in values.ravel().tolist()]
+    if not as_json:
+        return texts
+    if precision > 15:  # repr may need fewer digits than the text holds
+        return [repr(float(t)) for t in texts]
+    # the texts to respell repeat ("0", "1", "-0"): spell each distinct one once
+    spelled = {t: _json_spelling(t) for t in {t for t in texts if "." not in t or "e" in t}}
+    return [spelled.get(t, t) for t in texts] if spelled else texts
 
 
-def _round(value: float, precision: int) -> float:
-    return float(_fmt(value, precision))
+def _json_spelling(text: str) -> str:
+    if "e" not in text:
+        return text + ".0"  # "0" -> "0.0", "-0" -> "-0.0"
+    value = float(text)
+    if "e-" in text and abs(value) >= sys.float_info.min:
+        return text  # "1.5e-05" is repr's spelling too
+    return repr(value)  # "1e+12" -> "1000000000000.0"; "4.94065645841e-324" -> "5e-324"
 
 
-def _jsonable(value, precision: int):
+def _trajectory_json(traj: Trajectory, precision: int, pad: str, grids: dict) -> str:
+    """`{"points": ..., "times": ...}` as json.dumps(indent=2) writes it at
+    indent `pad`; `grids` caches the time grid's text by its values and `pad`."""
+    i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
+    x = _float_texts(traj.points, precision, True)
+    rows = f"\n{i2}],\n{i2}[\n{i3}".join(map(f",\n{i3}".join, zip(x[0::3], x[1::3], x[2::3])))
+    key = (traj.times.tobytes(), pad)
+    if key not in grids:
+        grids[key] = f",\n{i2}".join(_float_texts(traj.times, precision, True))
+    return (
+        f'{{\n{i1}"points": [\n{i2}[\n{i3}{rows}\n{i2}]\n{i1}],\n'
+        f'{i1}"times": [\n{i2}{grids[key]}\n{i1}]\n{pad}}}'
+    )
+
+
+def _jsonable(value, precision: int, trajectories: list):
+    """Report value -> json-ready value; each Trajectory becomes a placeholder
+    string naming its index in `trajectories`."""
     if isinstance(value, Trajectory):
-        return {
-            "times": [_round(t, precision) for t in value.times],
-            "points": [[_round(c, precision) for c in row] for row in value.points],
-        }
+        trajectories.append(value)
+        return f"\0{len(trajectories) - 1}\0"
     if isinstance(value, dict):
-        return {str(k): _jsonable(v, precision) for k, v in value.items()}
+        return {str(k): _jsonable(v, precision, trajectories) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v, precision) for v in value]
+        return [_jsonable(v, precision, trajectories) for v in value]
     if isinstance(value, float):
-        return _round(value, precision)
+        return float(format(float(value), f".{precision}g"))
     if isinstance(value, enum.Enum):
         return value.value
     return value
@@ -161,13 +193,9 @@ def _jsonable(value, precision: int):
 def _render_csv(report: ScenarioReport, precision: int) -> str:
     lines = ["t,arm,sigma1,sigma2,sigma3"]
     for arm_name, traj in report.arms.items():
-        for i in range(len(traj)):
-            lines.append(
-                f"{_fmt(traj.times[i], precision)},{arm_name},"
-                f"{_fmt(traj.points[i, 0], precision)},"
-                f"{_fmt(traj.points[i, 1], precision)},"
-                f"{_fmt(traj.points[i, 2], precision)}"
-            )
+        x = _float_texts(traj.points, precision)
+        times = _float_texts(traj.times, precision)
+        lines += map(",".join, zip(times, repeat(str(arm_name)), x[0::3], x[1::3], x[2::3]))
     return "\n".join(lines) + "\n"
 
 
@@ -181,7 +209,19 @@ def _render_json(report: ScenarioReport, precision: int) -> str:
         "arms": report.arms,
         "narrative": report.narrative,
     }
-    return json.dumps(_jsonable(doc, precision), indent=2, sort_keys=True) + "\n"
+    trajectories = []
+    skeleton = json.dumps(_jsonable(doc, precision, trajectories), indent=2, sort_keys=True)
+    # [text, index, text, index, ..., text]: each trajectory's slot sits alone on its line
+    pieces = _SLOT.split(skeleton)
+    if sorted(map(int, pieces[1::2])) != list(range(len(trajectories))):
+        raise RuntimeError(f"{len(pieces) // 2} slots for {len(trajectories)} trajectories")
+    grids = {}
+    for k in range(1, len(pieces), 2):
+        line = pieces[k - 1].rpartition("\n")[2]
+        pad = line[: len(line) - len(line.lstrip(" "))]
+        pieces[k] = _trajectory_json(trajectories[int(pieces[k])], precision, pad, grids)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def emit_report(report: ScenarioReport, cfg: RunConfig) -> int:
