@@ -28,7 +28,7 @@ from .scenarios import (
 
 ALIASES = {"linear": "sec3"}
 BY_NAME = {spec.name: scenario for scenario, spec in SPECS.items()}
-_SLOT = re.compile(r'"\\u0000(\d+)\\u0000"')  # a trajectory's placeholder, as json.dumps writes it
+_SLOT = r'"\\u0000(\d+)\\u0000"'  # a trajectory's placeholder, as json.dumps writes it
 
 
 class UsageError(Exception):
@@ -211,8 +211,8 @@ def _render_json(report: ScenarioReport, precision: int) -> str:
     }
     trajectories = []
     skeleton = json.dumps(_jsonable(doc, precision, trajectories), indent=2, sort_keys=True)
-    # [text, index, text, index, ..., text]: each trajectory's slot sits alone on its line
-    pieces = _SLOT.split(skeleton)
+    # [text, index, text, index, ..., text]; a slot takes the indent of its line
+    pieces = re.split(_SLOT, skeleton)
     if sorted(map(int, pieces[1::2])) != list(range(len(trajectories))):
         raise RuntimeError(f"{len(pieces) // 2} slots for {len(trajectories)} trajectories")
     grids = {}

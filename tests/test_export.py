@@ -61,13 +61,6 @@ def test_float_texts_match_the_per_float_route(values, precision):
     ]
 
 
-def test_float_texts_run_over_rows_in_order():
-    points = np.array([[0.0, -0.0, 5e-324], [1e12, 0.5, 1 / 3]])
-    assert cli._float_texts(points, 12, as_json=True) == [
-        "0.0", "-0.0", "5e-324", "1000000000000.0", "0.5", "0.333333333333",
-    ]
-
-
 ARM_SCENARIOS = [scenario for scenario, spec in SPECS.items() if spec.arms]
 
 
