@@ -10,11 +10,14 @@ from __future__ import annotations
 import argparse
 import enum
 import json
+import math
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass
 from itertools import repeat
-from pathlib import Path
+
+import numpy as np
 
 from .dynamics_nonlinear import Trajectory
 from .scenarios import (
@@ -28,6 +31,7 @@ from .scenarios import (
 
 ALIASES = {"linear": "sec3"}
 BY_NAME = {spec.name: scenario for scenario, spec in SPECS.items()}
+ROWS = 4096  # trajectory rows rendered and written at a time
 _SLOT = r'"\\u0000(\d+)\\u0000"'  # a trajectory's placeholder, as json.dumps writes it
 
 
@@ -135,18 +139,41 @@ def parse_args(argv) -> RunConfig:
     return RunConfig(ns.command, scenario, _build_scenario_config(ns), ns.out, fmt, ns.precision)
 
 
-def _float_texts(values, precision: int, as_json: bool = False) -> list[str]:
-    """The `%.{precision}g` text of each value of an array, in C order; as
-    JSON, spelled the way json writes float(text)."""
+def _float_texts(column, precision: int, as_json: bool = False) -> list[str]:
+    """The `%.{precision}g` text of each value of a 1-d float array; as JSON,
+    spelled the way json writes float(text). A column whose entries share
+    one bit pattern is formatted once."""
+    data = column.tobytes()
+    if len(column) > 1 and data == data[: column.itemsize] * len(column):
+        return _float_texts(column[:1], precision, as_json) * len(column)
+    values = column.tolist()
+    if as_json and precision == 17:  # '%.17g' always reads back to x itself
+        return list(map(repr, values))
+    if as_json and precision == 16:
+        return list(map(_repr16, values))
     spec = f"%.{precision}g"
-    texts = [spec % x for x in values.ravel().tolist()]
-    if not as_json:
-        return texts
-    if precision > 15:  # repr may need fewer digits than the text holds
-        return [repr(float(t)) for t in texts]
-    # the texts to respell repeat ("0", "1", "-0"): spell each distinct one once
-    spelled = {t: _json_spelling(t) for t in {t for t in texts if "." not in t or "e" in t}}
-    return [spelled.get(t, t) for t in texts] if spelled else texts
+    texts = [spec % x for x in values]
+    if as_json:
+        # Integral texts ("0", "-0", "1e+12") and subnormal texts need
+        # respelling. Rounding to `precision` digits moves x by at most half a
+        # unit of its last digit, so near-integers (which include every
+        # |x| >= 10**(precision - 1)) and |x| < 1e-307 cover them all.
+        size = np.abs(column)
+        flagged = (size < 1e-307) | (np.abs(column - np.rint(column)) <= size * 10.0 ** (1 - precision))
+        for i in np.flatnonzero(flagged).tolist():
+            if "." not in texts[i] or "e" in texts[i]:
+                texts[i] = _json_spelling(texts[i])
+    return texts
+
+
+def _repr16(x: float) -> str:
+    """repr(float('%.16g' % x)). Where repr(x) has at most 16 significant
+    digits, the nearest 16-digit decimal reads back to x too, so the two agree;
+    not at a power of two, whose rounding interval is narrower below it."""
+    text = repr(x)
+    if len(text.partition("e")[0].replace(".", "").strip("-0")) <= 16 and abs(math.frexp(x)[0]) != 0.5:
+        return text
+    return repr(float("%.16g" % x))
 
 
 def _json_spelling(text: str) -> str:
@@ -158,19 +185,30 @@ def _json_spelling(text: str) -> str:
     return repr(value)  # "1e+12" -> "1000000000000.0"; "4.94065645841e-324" -> "5e-324"
 
 
-def _trajectory_json(traj: Trajectory, precision: int, pad: str, grids: dict) -> str:
+def _write_trajectory(write, traj: Trajectory, precision: int, pad: str, grids: dict) -> None:
     """`{"points": ..., "times": ...}` as json.dumps(indent=2) writes it at
-    indent `pad`; `grids` caches the time grid's text by its values and `pad`."""
+    indent `pad`, in chunks of ROWS rows; `grids` caches the time grid's
+    chunk texts by its values and `pad`."""
     i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
-    x = _float_texts(traj.points, precision, True)
-    rows = f"\n{i2}],\n{i2}[\n{i3}".join(map(f",\n{i3}".join, zip(x[0::3], x[1::3], x[2::3])))
+    row_sep, join_row = f"\n{i2}],\n{i2}[\n{i3}", f",\n{i3}".join
+    write(f'{{\n{i1}"points": [\n{i2}[\n{i3}')
+    for start in range(0, len(traj), ROWS):
+        block = traj.points[start : start + ROWS]
+        columns = [_float_texts(block[:, j], precision, True) for j in range(3)]
+        if start:
+            write(row_sep)
+        write(row_sep.join(map(join_row, zip(*columns))))
+    write(f'\n{i2}]\n{i1}],\n{i1}"times": [\n{i2}')
     key = (traj.times.tobytes(), pad)
     if key not in grids:
-        grids[key] = f",\n{i2}".join(_float_texts(traj.times, precision, True))
-    return (
-        f'{{\n{i1}"points": [\n{i2}[\n{i3}{rows}\n{i2}]\n{i1}],\n'
-        f'{i1}"times": [\n{i2}{grids[key]}\n{i1}]\n{pad}}}'
-    )
+        sep = f",\n{i2}"
+        grids[key] = [
+            (sep if start else "") + sep.join(_float_texts(traj.times[start : start + ROWS], precision, True))
+            for start in range(0, len(traj), ROWS)
+        ]
+    for text in grids[key]:
+        write(text)
+    write(f"\n{i1}]\n{pad}}}")
 
 
 def _jsonable(value, precision: int, trajectories: list):
@@ -190,16 +228,26 @@ def _jsonable(value, precision: int, trajectories: list):
     return value
 
 
-def _render_csv(report: ScenarioReport, precision: int) -> str:
-    lines = ["t,arm,sigma1,sigma2,sigma3"]
-    for arm_name, traj in report.arms.items():
-        x = _float_texts(traj.points, precision)
-        times = _float_texts(traj.times, precision)
-        lines += map(",".join, zip(times, repeat(str(arm_name)), x[0::3], x[1::3], x[2::3]))
-    return "\n".join(lines) + "\n"
+def _render_csv(report: ScenarioReport, precision: int):
+    """A writer of the CSV table: called with a `write` callable, it passes
+    the table to it in chunks of ROWS rows."""
+
+    def render(write) -> None:
+        write("t,arm,sigma1,sigma2,sigma3\n")
+        for arm_name, traj in report.arms.items():
+            for start in range(0, len(traj), ROWS):
+                block = traj.points[start : start + ROWS]
+                times = _float_texts(traj.times[start : start + ROWS], precision)
+                columns = [_float_texts(block[:, j], precision) for j in range(3)]
+                write("\n".join(map(",".join, zip(times, repeat(str(arm_name)), *columns))) + "\n")
+
+    return render
 
 
-def _render_json(report: ScenarioReport, precision: int) -> str:
+def _render_json(report: ScenarioReport, precision: int):
+    """Build the JSON document's skeleton and check its trajectory slots now;
+    return a writer that passes the document to a `write` callable, each
+    trajectory in chunks of ROWS rows."""
     doc = {
         "scenario": report.scenario,
         "config": asdict(report.config),
@@ -212,30 +260,55 @@ def _render_json(report: ScenarioReport, precision: int) -> str:
     trajectories = []
     skeleton = json.dumps(_jsonable(doc, precision, trajectories), indent=2, sort_keys=True)
     # [text, index, text, index, ..., text]; a slot takes the indent of its line
-    pieces = re.split(_SLOT, skeleton)
+    pieces = re.split(_SLOT, skeleton + "\n")
     if sorted(map(int, pieces[1::2])) != list(range(len(trajectories))):
         raise RuntimeError(f"{len(pieces) // 2} slots for {len(trajectories)} trajectories")
-    grids = {}
-    for k in range(1, len(pieces), 2):
-        line = pieces[k - 1].rpartition("\n")[2]
-        pad = line[: len(line) - len(line.lstrip(" "))]
-        pieces[k] = _trajectory_json(trajectories[int(pieces[k])], precision, pad, grids)
-    pieces.append("\n")
-    return "".join(pieces)
+
+    def render(write) -> None:
+        grids = {}
+        write(pieces[0])
+        for k in range(1, len(pieces), 2):
+            line = pieces[k - 1].rpartition("\n")[2]
+            pad = line[: len(line) - len(line.lstrip(" "))]
+            _write_trajectory(write, trajectories[int(pieces[k])], precision, pad, grids)
+            write(pieces[k + 1])
+
+    return render
+
+
+def _write_file(path: str, render) -> None:
+    """Write through a temporary file next to the target, moved into place
+    once the whole document is written: a failed render or write leaves no
+    partial file, and a file already there keeps its old bytes."""
+    target = os.path.realpath(path)  # replace a symlink's target, not the link
+    if os.path.exists(target) and not os.path.isfile(target):  # /dev/null, a FIFO: nothing to replace
+        with open(target, "w", encoding="utf-8") as handle:
+            render(handle.write)
+        return
+    head, tail = os.path.split(target)
+    temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    handle = open(temp, "x", encoding="utf-8")
+    try:
+        with handle:
+            render(handle.write)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def emit_report(report: ScenarioReport, cfg: RunConfig) -> int:
     """Write the report in the configured format; 0 if all contracts hold, else 2."""
     if cfg.fmt == "csv":
-        text = _render_csv(report, cfg.precision)
+        render = _render_csv(report, cfg.precision)
     elif cfg.fmt == "json":
-        text = _render_json(report, cfg.precision)
+        render = _render_json(report, cfg.precision)
     else:
         raise UsageError(f"unknown format {cfg.fmt!r}")
     if cfg.out is None:
-        sys.stdout.write(text)
+        render(sys.stdout.write)
     else:
-        Path(cfg.out).write_text(text, encoding="utf-8")
+        _write_file(cfg.out, render)
     return 0 if report.contracts_ok else 2
 
 

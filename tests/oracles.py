@@ -1,10 +1,11 @@
 """Slow reference routes kept for the tests.
 
-The exporter in `spinpair.cli` renders each trajectory's float arrays to
-text in one pass and splices them into a `json.dumps` of the rest of the
-report. The routes below are the per-float originals it replaced: every
-float is formatted with `format(x, ".{p}g")`, and in JSON parsed back and
-written by the json encoder. The fast routes must match them byte for byte.
+The exporter in `spinpair.cli` renders each trajectory's float columns to
+text, splices them into a `json.dumps` of the rest of the report, and
+streams the result in chunks of rows. The routes below are the per-float
+originals it replaced: every float is formatted with `format(x, ".{p}g")`,
+and in JSON parsed back and written by the json encoder. The fast routes
+must match them byte for byte; `rendered` joins what they stream.
 """
 
 from __future__ import annotations
@@ -15,6 +16,13 @@ from dataclasses import asdict
 
 from spinpair.dynamics_nonlinear import Trajectory
 from spinpair.scenarios import ScenarioReport
+
+
+def rendered(render) -> str:
+    """The whole text that a writer from `spinpair.cli` passes to `write`."""
+    parts = []
+    render(parts.append)
+    return "".join(parts)
 
 
 def fmt(value: float, precision: int) -> str:

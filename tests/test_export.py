@@ -1,13 +1,17 @@
-"""The per-array exporter against the per-float route it replaced.
+"""The streamed exporter against the per-float route it replaced.
 
 `tests/oracles.py` keeps the old route: every float formatted on its own
 and, in JSON, parsed back and written by the json encoder. These tests pin
 the fast route to it byte for byte, from single float texts up to whole
-reports, and bound the exporter's memory.
+reports cut into chunks of any row count, and check how the exporter
+writes: atomically to `--out`, the same bytes to stdout, and in memory that
+stays near one chunk.
 """
 
 import json
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 
 import oracles
 from spinpair import cli
-from spinpair.cli import RunConfig, emit_report
+from spinpair.cli import RunConfig, emit_report, main
 from spinpair.dynamics_nonlinear import Trajectory
 from spinpair.scenarios import (
     SPECS,
@@ -37,7 +41,7 @@ EDGE_FLOATS = [
     1e-5, 1.5e-5, 9.99999999999e-5, 1e-4, 0.1, 0.2 + 0.1, 1 / 3, 2 / 3,
     0.9999999999999999, 0.99999999999995, 1.0000000000000002,
     1e12, 1e13, 1e14, 1e15, 1e16, 1.5e15, 9.999999999999999e14, 123456789012345.6,
-    2.0**53, 2.0**53 + 2, 1.7976931348623157e308, 5.551115123125783e-17,
+    2.0**53, 2.0**53 + 2, 1.7976931348623157e308, 5.551115123125783e-17, 2.0**-1016,
 ]
 
 FLOATS = st.one_of(
@@ -53,6 +57,11 @@ FLOATS = st.one_of(
 @example(values=[5e-324], precision=12)
 @example(values=[1e-310], precision=15)
 @example(values=[0.0, -0.0, 1e12, 1e15, 1e16], precision=12)
+@example(values=[0.0, -0.0], precision=12)  # equal values, two bit patterns
+@example(values=[-0.0, -0.0, -0.0], precision=12)
+@example(values=[5e-324] * 3, precision=15)
+@example(values=[1e15] * 2, precision=12)
+@example(values=[2.0**-1016] * 2, precision=16)
 def test_float_texts_match_the_per_float_route(values, precision):
     array = np.array(values, dtype=float)
     assert cli._float_texts(array, precision) == [format(x, f".{precision}g") for x in values]
@@ -61,7 +70,24 @@ def test_float_texts_match_the_per_float_route(values, precision):
     ]
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_powers_of_two_match_the_per_float_route(sign):
+    """A power of two has a narrower rounding interval below it than above,
+    so at precision 16 its shortest repr can read back from a 16-digit text
+    that the nearest 16-digit decimal does not (2**-1016 is one)."""
+    values = [sign * 2.0**k for k in range(-1074, 1024)]
+    for precision in (16, 17):
+        assert cli._float_texts(np.array(values), precision, as_json=True) == [
+            repr(float(format(x, f".{precision}g"))) for x in values
+        ]
+
+
 ARM_SCENARIOS = [scenario for scenario, spec in SPECS.items() if spec.arms]
+
+
+# Row counts a trajectory is cut into: one and two rows per chunk, a count
+# that leaves a short last chunk, and the exporter's own.
+CHUNK_ROWS = [1, 2, 7, cli.ROWS]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -78,11 +104,31 @@ ARM_SCENARIOS = [scenario for scenario, spec in SPECS.items() if spec.arms]
 @example(ScenarioId.CHANGED_CORRELATIONS, 0.75, 1e-310, 2.0, 20.0, BasisChoice.UPDOWN, 12)
 def test_reports_match_the_per_float_route(scenario, p, epsilon, t_max, steps, basis, precision):
     """Arms and per-outcome trajectories sit at different depths of the
-    document and share one time grid; every one must come out as before."""
+    document and share one time grid; every one must come out as before,
+    whatever the chunk size."""
     cfg = ScenarioConfig(p=p, epsilon=epsilon, t_max=t_max, dt=t_max / steps, basis_choice=basis)
-    report = run_scenario(scenario, cfg)
-    assert cli._render_json(report, precision) == oracles.render_json(report, precision)
-    assert cli._render_csv(report, precision) == oracles.render_csv(report, precision)
+    assert_matches_the_oracle(run_scenario(scenario, cfg), precision)
+
+
+def assert_matches_the_oracle(report, precision, chunk_rows=CHUNK_ROWS):
+    json_text, csv_text = oracles.render_json(report, precision), oracles.render_csv(report, precision)
+    for rows in chunk_rows:
+        with mock.patch.object(cli, "ROWS", rows):
+            assert oracles.rendered(cli._render_json(report, precision)) == json_text
+            assert oracles.rendered(cli._render_csv(report, precision)) == csv_text
+
+
+@pytest.mark.parametrize(
+    "rows, points",
+    # a scenario's grid has at least two points; nested_report has a one-point trajectory
+    [(rows, rows + offset) for rows in CHUNK_ROWS for offset in (-1, 0, 1) if rows + offset >= 2],
+)
+def test_grids_at_a_chunk_boundary_match_the_per_float_route(rows, points):
+    """Grids of ROWS - 1, ROWS and ROWS + 1 points: one short chunk, one
+    full chunk, and a full chunk followed by a single row."""
+    report = run_scenario(ScenarioId.ENTANGLEMENT, ScenarioConfig(t_max=points - 1, dt=1.0))
+    assert len(report.arms["armA"]) == points
+    assert_matches_the_oracle(report, 12, [rows])
 
 
 def nested_report(narrative_extra=None):
@@ -110,9 +156,7 @@ def nested_report(narrative_extra=None):
 
 @pytest.mark.parametrize("precision", [6, 12, 15, 16, 17])
 def test_nested_trajectories_match_the_per_float_route(precision):
-    report = nested_report()
-    assert cli._render_json(report, precision) == oracles.render_json(report, precision)
-    assert cli._render_csv(report, precision) == oracles.render_csv(report, precision)
+    assert_matches_the_oracle(nested_report(), precision)
 
 
 def test_a_stray_placeholder_refuses_to_write(tmp_path):
@@ -126,15 +170,76 @@ def test_a_stray_placeholder_refuses_to_write(tmp_path):
     assert not path.exists()
 
 
-def test_json_memory_stays_near_the_output_size():
-    """Rendering the default sec8 JSON peaks at no more than 3x the text it
-    returns; building nested lists of Python floats peaks near 7x."""
-    report = run_scenario(ScenarioId.ENTANGLEMENT, ScenarioConfig())
+def streamed_peak(report):
+    """(tracemalloc peak, bytes written) of rendering the report's JSON into
+    a sink that keeps nothing."""
+    size = 0
+
+    def discard(text):
+        nonlocal size
+        size += len(text)
+
     tracemalloc.start()
     try:
-        text = cli._render_json(report, 12)
+        cli._render_json(report, 12)(discard)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * len(text)
-    assert json.loads(text)["scenario"] == "entanglement"
+    return peak, size
+
+
+def test_json_memory_stays_near_the_output_size():
+    """Streamed, the default sec8 JSON peaks at no more than half the text it
+    writes (the whole document joined at once peaked near 2x), and a grid
+    four times as long at no more than twice that peak: what grows with the
+    grid is the cached text of the time grid, not the document."""
+    peak, size = streamed_peak(run_scenario(ScenarioId.ENTANGLEMENT, ScenarioConfig()))
+    assert peak <= 0.5 * size
+    longer, longer_size = streamed_peak(run_scenario(ScenarioId.ENTANGLEMENT, ScenarioConfig(t_max=40)))
+    assert longer_size > 3.9 * size
+    assert longer <= 2 * peak
+
+
+@pytest.mark.parametrize("existing", [None, b"old bytes\n"])
+def test_a_failed_write_leaves_no_file(existing, tmp_path, monkeypatch, capsys):
+    """The stream breaks once its first chunk (the skeleton up to the first
+    trajectory) has gone to the temporary file."""
+
+    def full_disk(*args):
+        raise OSError("no space left on device")
+
+    path = tmp_path / "out.json"
+    if existing is not None:
+        path.write_bytes(existing)
+    monkeypatch.setattr(cli, "_write_trajectory", full_disk)
+    assert main(["run", "sec8", "--t-max", "1", "--dt", "0.1", "--format", "json", "--out", str(path)]) == 1
+    assert "no space left on device" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ([] if existing is None else ["out.json"])
+    if existing is not None:
+        assert path.read_bytes() == existing
+
+
+def test_a_finished_write_replaces_the_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old bytes\n")
+    args = ["run", "sec5", "--t-max", "1", "--dt", "0.1", "--out", str(path)]
+    assert main(args) == 0
+    assert path.read_text().startswith("t,arm,sigma1,sigma2,sigma3\n")
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_out_may_name_a_device():
+    """A target that is not a regular file is written in place, not replaced."""
+    assert main(["run", "sec5", "--t-max", "1", "--dt", "0.1", "--out", os.devnull]) == 0
+    assert not os.path.isfile(os.devnull)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_stdout_gets_the_bytes_of_out(fmt, tmp_path, capsys):
+    args = ["run", "sec8", "--t-max", "2", "--dt", "0.01", "--format", fmt]
+    path = tmp_path / f"out.{fmt}"
+    with mock.patch.object(cli, "ROWS", 7):  # several chunks per trajectory
+        assert main(args) == 0
+        streamed = capsys.readouterr().out
+        assert main([*args, "--out", str(path)]) == 0
+    assert streamed.encode("utf-8") == path.read_bytes()
