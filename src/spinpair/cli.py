@@ -287,7 +287,11 @@ def _write_file(path: str, render) -> None:
         return
     head, tail = os.path.split(target)
     temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    handle = open(temp, "x", encoding="utf-8")
+    try:
+        handle = open(temp, "x", encoding="utf-8")
+    except FileExistsError:  # left by a killed run that had this pid
+        os.unlink(temp)  # removes a symlink itself, never its target
+        handle = open(temp, "x", encoding="utf-8")
     try:
         with handle:
             render(handle.write)

@@ -12,9 +12,10 @@ batch as stacked arrays, and trial_probabilities evaluates every route of
 every trial at once on (n, 4, 4) stacks. Each route is still computed the
 long way round (collapse onto each remote outcome, the full composite
 Heisenberg operator, evolution of the collapsed branches), so no checked
-identity holds by construction. ProductUnitary, evolve and
-heisenberg_probability are the per-trial forms of the same routes; the
-tests rebuild single trials with them as the oracle for the batched kernel.
+identity holds by construction. The per-trial forms of the same routes
+(ProductUnitary, evolve, heisenberg_probability) are in tests/oracles.py;
+the tests rebuild single trials with them as the oracle for the batched
+kernel.
 """
 
 from __future__ import annotations
@@ -23,19 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import PROB_FLOOR, _require_projector
-from .qmath import (
-    ATOL,
-    IDENTITY_2,
-    MEAN_IMAG_TOL,
-    ConsistencyError,
-    checked,
-    dagger,
-    is_unitary,
-    mean_value,
-    pauli,
-)
-from .states import NORM_ATOL, Branch, Ensemble, density_of
+from .measurement import PROB_FLOOR
+from .qmath import ATOL, IDENTITY_2, MEAN_IMAG_TOL, ConsistencyError, pauli
+from .states import NORM_ATOL
 
 # Trials per batch. The suite's working memory is one batch (about 21 MB
 # traced at this size), whatever the trial count.
@@ -44,49 +35,6 @@ CHUNK = 4096
 # Branch slots per trial: an ensemble has 1 to 4 branches, and the slots
 # past a trial's branch count are padding with weight 0.
 BRANCH_SLOTS = 4
-
-
-@dataclass(frozen=True, eq=False)
-class ProductUnitary:
-    """One time step of the pair: a system unitary times a remote unitary."""
-
-    system_u: np.ndarray
-    remote_u: np.ndarray
-
-    def __post_init__(self) -> None:
-        frozen = []
-        for name, raw in (("system_u", self.system_u), ("remote_u", self.remote_u)):
-            arr = checked(raw, name, (2, 2))
-            if not is_unitary(arr):
-                raise ValueError(f"{name} is not unitary within tolerance")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "system_u", frozen[0])
-        object.__setattr__(self, "remote_u", frozen[1])
-
-    def composite(self) -> np.ndarray:
-        return np.kron(self.system_u, self.remote_u)
-
-
-def evolve(ensemble: Ensemble, uv: ProductUnitary) -> Ensemble:
-    """Apply the product unitary to every branch; weights are untouched."""
-    w = uv.composite()
-    return Ensemble(tuple(Branch(b.weight, w @ b.vector) for b in ensemble.branches))
-
-
-def heisenberg_probability(proposition, uv: ProductUnitary, ensemble: Ensemble) -> float:
-    """Probability of a system proposition after one time step, computed in the
-    Heisenberg picture on the full composite state.
-
-    The full composite expression is evaluated on purpose: that the result
-    never depends on the remote factor is a consequence to be verified, not
-    an assumption to be baked in.
-    """
-    prop = _require_projector(proposition, "proposition")
-    w = uv.composite()
-    advanced = dagger(w) @ np.kron(prop, IDENTITY_2) @ w
-    return mean_value(advanced, density_of(ensemble))
 
 
 @dataclass(frozen=True)
@@ -98,14 +46,6 @@ class NoSignallingReport:
     outcome_sum_deviation: float
     remote_choice_deviation: float
     interposed_deviation: float
-
-    @property
-    def max_deviation(self) -> float:
-        return max(
-            self.outcome_sum_deviation,
-            self.remote_choice_deviation,
-            self.interposed_deviation,
-        )
 
 
 @dataclass(frozen=True, eq=False)

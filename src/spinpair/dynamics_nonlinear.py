@@ -9,9 +9,12 @@ instead of guessing. There is no defined rule here for evolving an
 entangled branch on its own, so BRANCH_MEANS refuses entangled branches
 with NotProductError.
 
-The closed form is the production path. integrate_rk4 exists purely as an
-independent check: it consumes only the right-hand side, never the closed
-form, and the two must agree to tight tolerance.
+Every trajectory is the closed-form solution: s3 stays constant and
+(s1, s2) rotate by the angle (rate * t), computed by _rotation_points. The
+equations of motion, a single-point closed form on that same kernel and an
+independent Runge-Kutta integrator of the equations are test oracles in
+tests/oracles.py; the integrator never sees the closed form, and the two
+must agree to tight tolerance.
 """
 
 from __future__ import annotations
@@ -97,29 +100,6 @@ class Trajectory:
     def sigma3(self) -> np.ndarray:
         return self.points[:, 2]
 
-    def bloch(self, index: int) -> BlochVector:
-        return BlochVector(*self.points[index])
-
-
-def _as_bloch(value) -> BlochVector:
-    if isinstance(value, BlochVector):
-        return value
-    return BlochVector(*value)
-
-
-def eom_rhs(bloch, epsilon: float) -> np.ndarray:
-    """Time derivative of the mean values: (-2*eps*s3*s2, 2*eps*s3*s1, 0)."""
-    s1, s2, s3 = (float(c) for c in bloch)
-    eps = float(epsilon)
-    return np.array([-2.0 * eps * s3 * s2, 2.0 * eps * s3 * s1, 0.0])
-
-
-def closed_form(b0, epsilon: float, t: float) -> BlochVector:
-    """Exact solution: s3 constant, (s1, s2) rotated by the angle 2*eps*s3*t,
-    evaluated by the same rotation kernel as evolve_ensemble."""
-    b0 = _as_bloch(b0)
-    return BlochVector(*_rotation_points(b0, mean_field_rate(epsilon)(b0), np.array([t]))[0])
-
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
     """Uniform grid of spacing dt from 0 to exactly t_max, last step shortened."""
@@ -143,27 +123,6 @@ def grid_points(t_max: float, dt: float) -> int:
     them: a last step shorter than dt adds one point."""
     count = math.floor(t_max / dt + 1e-9)
     return count + 1 if dt * count >= t_max - 1e-9 * dt else count + 2
-
-
-def integrate_rk4(b0, epsilon: float, t_max: float, dt: float) -> Trajectory:
-    """Classical fourth-order Runge-Kutta on the mean-value equations.
-
-    Consumes only eom_rhs; serves as the independent check on closed_form.
-    """
-    b0 = _as_bloch(b0)
-    times = time_grid(t_max, dt)
-    points = np.empty((times.size, 3))
-    y = b0.as_array()
-    points[0] = y
-    for i in range(times.size - 1):
-        h = times[i + 1] - times[i]
-        k1 = eom_rhs(y, epsilon)
-        k2 = eom_rhs(y + 0.5 * h * k1, epsilon)
-        k3 = eom_rhs(y + 0.5 * h * k2, epsilon)
-        k4 = eom_rhs(y + h * k3, epsilon)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        points[i + 1] = y
-    return Trajectory(times, points)
 
 
 def _rotation_points(b0: BlochVector, omega: float, times: np.ndarray) -> np.ndarray:

@@ -7,7 +7,10 @@ the slow, left Kronecker factor and the non-interacting companion spin
 ("remote") is the fast, right factor.
 
 Only dimensions 2 and 4 are supported, and every eigenvector the package
-needs has a closed form, so there is no general eigensolver here.
+needs has a closed form, so there is no general eigensolver here. Composite
+operators are built with np.kron directly. The adjoint and the hermitian,
+unitary, projector and density predicates are test oracles and live in
+tests/oracles.py.
 
 Arrays are validated once, where they enter: public functions and value-type
 constructors pass array arguments through checked, which names the argument
@@ -62,26 +65,10 @@ def pauli(axis: int) -> np.ndarray:
     return _PAULI[axis - 1].copy()
 
 
-def dagger(matrix) -> np.ndarray:
-    """Conjugate transpose."""
-    return checked(matrix, "matrix", (2, 2), (4, 4)).conj().T.copy()
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 operators, system factor slow, remote fast."""
-    return np.kron(checked(a, "a", (2, 2)), checked(b, "b", (2, 2)))
-
-
 def trace_out_remote(composite) -> np.ndarray:
     """Reduced 2x2 operator for the system spin: partial trace over the remote factor."""
     m = checked(composite, "composite", (4, 4))
     return np.trace(m.reshape(2, 2, 2, 2), axis1=1, axis2=3)
-
-
-def trace_out_system(composite) -> np.ndarray:
-    """Reduced 2x2 operator for the remote spin: partial trace over the system factor."""
-    m = checked(composite, "composite", (4, 4))
-    return np.trace(m.reshape(2, 2, 2, 2), axis1=0, axis2=2)
 
 
 def mean_value(operator, rho) -> float:
@@ -99,19 +86,6 @@ def mean_value(operator, rho) -> float:
     return value.real
 
 
-def spin_unitary(axis, angle: float) -> np.ndarray:
-    """Spin rotation cos(angle/2)*I - i*sin(angle/2)*(n . Sigma) about unit axis n."""
-    n = np.asarray(axis, dtype=float)
-    if n.shape != (3,) or not np.all(np.isfinite(n)):
-        raise ValueError("axis must be a finite real 3-vector")
-    norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > ATOL:
-        raise ValueError(f"axis must have unit norm, got {norm!r}")
-    half = 0.5 * float(angle)
-    n_dot_sigma = n[0] * _PAULI[0] + n[1] * _PAULI[1] + n[2] * _PAULI[2]
-    return np.cos(half) * np.eye(2, dtype=complex) - 1.0j * np.sin(half) * n_dot_sigma
-
-
 def projector(vector) -> np.ndarray:
     """Rank-1 projector |v><v| onto a normalized vector."""
     v = checked(vector, "vector", (2,), (4,))
@@ -119,28 +93,3 @@ def projector(vector) -> np.ndarray:
     if abs(norm - 1.0) > ATOL:
         raise ValueError(f"vector must be normalized, got norm {norm!r}")
     return np.outer(v, v.conj())
-
-
-def is_hermitian(matrix, atol: float = ATOL) -> bool:
-    m = checked(matrix, "matrix", (2, 2), (4, 4))
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
-
-
-def is_unitary(matrix, atol: float = ATOL) -> bool:
-    m = checked(matrix, "matrix", (2, 2), (4, 4))
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= atol)
-
-
-def is_projector(matrix, atol: float = ATOL) -> bool:
-    m = checked(matrix, "matrix", (2, 2), (4, 4))
-    return is_hermitian(m, atol) and bool(np.max(np.abs(m @ m - m)) <= atol)
-
-
-def is_density(matrix, atol: float = ATOL) -> bool:
-    """Hermitian, unit trace, and no negative real part on the diagonal."""
-    m = checked(matrix, "matrix", (2, 2), (4, 4))
-    if not is_hermitian(m, atol):
-        return False
-    if abs(complex(np.trace(m)) - 1.0) > atol:
-        return False
-    return bool(np.min(np.diag(m).real) >= -atol)

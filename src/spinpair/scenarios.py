@@ -84,7 +84,7 @@ class BasisChoice(enum.Enum):
 
 
 class DegenerateConfigError(ValueError):
-    """The configuration collapses the scenario's contrast (e.g. p in {0, 1})."""
+    """The configuration collapses the scenario's contrast (p in {0, 1} or epsilon 0)."""
 
 
 def _is_int(value) -> bool:
@@ -269,7 +269,7 @@ class ScenarioSpec:
     arms: tuple[Arm, ...]
     checks: Callable[..., tuple[ContractCheck, ...]]
     extras: Callable[[ScenarioConfig, tuple[Ensemble, ...]], dict]
-    needs_mixture: bool = False  # p in {0, 1} leaves a single branch
+    needs_contrast: bool = False  # p in {0, 1} leaves a single branch, epsilon 0 no precession
 
 
 # The linear suite's three gaps; the largest is its divergence.
@@ -383,7 +383,7 @@ SPECS: dict[ScenarioId, ScenarioSpec] = {
         ),
         _classical_checks,
         _p_extras,
-        needs_mixture=True,
+        needs_contrast=True,
     ),
     # Third-axis branches sit at the poles and never precess; diagonal-axis
     # branches precess at full amplitude.
@@ -429,9 +429,13 @@ def run_scenario(
     has no precession, so rate_fn does not apply to it.
     """
     spec = SPECS[scenario]
-    if spec.needs_mixture and cfg.p in (0.0, 1.0):
+    if spec.needs_contrast and cfg.p in (0.0, 1.0):
         raise DegenerateConfigError(
             "p in {0, 1} leaves a single branch; the contrast needs a genuine mixture"
+        )
+    if spec.needs_contrast and cfg.epsilon == 0.0:
+        raise DegenerateConfigError(
+            "epsilon 0 stops the precession; the contrast needs a nonzero epsilon"
         )
     # arms that share a preparation share one ensemble instead of building it twice
     made = {prepare: prepare(cfg) for prepare in dict.fromkeys(arm.prepare for arm in spec.arms)}

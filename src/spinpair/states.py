@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,12 +101,6 @@ class Ensemble:
             raise ValueError(f"branch weights must sum to 1, got {total!r}")
         object.__setattr__(self, "branches", branches)
 
-    def __len__(self) -> int:
-        return len(self.branches)
-
-    def __iter__(self) -> Iterator[Branch]:
-        return iter(self.branches)
-
 
 @dataclass(frozen=True)
 class BlochVector:
@@ -126,18 +120,6 @@ class BlochVector:
         object.__setattr__(self, "s1", comps[0])
         object.__setattr__(self, "s2", comps[1])
         object.__setattr__(self, "s3", comps[2])
-
-    def __iter__(self) -> Iterator[float]:
-        yield self.s1
-        yield self.s2
-        yield self.s3
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s1, self.s2, self.s3], dtype=float)
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.s1 ** 2 + self.s2 ** 2 + self.s3 ** 2))
 
 
 def density_of(ensemble: Ensemble) -> np.ndarray:

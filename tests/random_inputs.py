@@ -3,10 +3,23 @@ bases, product unitaries and ensembles, one value at a time."""
 
 import numpy as np
 
-from spinpair.dynamics_linear import ProductUnitary
+from oracles import ProductUnitary
 from spinpair.measurement import MeasurementBasis
-from spinpair.qmath import IDENTITY_2, projector, spin_unitary
+from spinpair.qmath import ATOL, IDENTITY_2, pauli, projector
 from spinpair.states import Branch, Ensemble
+
+
+def spin_unitary(axis, angle: float) -> np.ndarray:
+    """Spin rotation cos(angle/2)*I - i*sin(angle/2)*(n . Sigma) about unit axis n."""
+    n = np.asarray(axis, dtype=float)
+    if n.shape != (3,) or not np.all(np.isfinite(n)):
+        raise ValueError("axis must be a finite real 3-vector")
+    norm = float(np.linalg.norm(n))
+    if abs(norm - 1.0) > ATOL:
+        raise ValueError(f"axis must have unit norm, got {norm!r}")
+    half = 0.5 * float(angle)
+    n_dot_sigma = n[0] * pauli(1) + n[1] * pauli(2) + n[2] * pauli(3)
+    return np.cos(half) * np.eye(2, dtype=complex) - 1.0j * np.sin(half) * n_dot_sigma
 
 
 def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

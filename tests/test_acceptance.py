@@ -10,13 +10,9 @@ import time
 import numpy as np
 import pytest
 
+from oracles import bloch_array, closed_form, integrate_rk4
 from spinpair.cli import main
-from spinpair.dynamics_nonlinear import (
-    BlochVector,
-    closed_form,
-    fixed_rate,
-    integrate_rk4,
-)
+from spinpair.dynamics_nonlinear import BlochVector, fixed_rate
 from spinpair.scenarios import BasisChoice, ScenarioConfig, ScenarioId, run_scenario
 
 SQRT2 = np.sqrt(2.0)
@@ -66,7 +62,7 @@ def test_criterion_2_nonlinear_oracle_equivalence():
     worst_err = worst_s3 = worst_radius = 0.0
     for start in starts.values():
         traj = integrate_rk4(start, 1.0, 10.0, 1e-3)
-        expected = np.array([tuple(closed_form(start, 1.0, t)) for t in traj.times])
+        expected = np.array([bloch_array(closed_form(start, 1.0, t)) for t in traj.times])
         worst_err = max(worst_err, float(np.max(np.abs(traj.points - expected))))
         worst_s3 = max(worst_s3, float(np.max(np.abs(traj.sigma3 - start.s3))))
         radii = np.linalg.norm(traj.points, axis=1)

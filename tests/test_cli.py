@@ -219,17 +219,19 @@ class TestMain:
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "flags, message",
+        "args, message",
         [
-            (["--t-max", "inf"], "t_max must be finite"),
-            (["--t-max", "1e12", "--dt", "1"], "grid points"),
-            (["--epsilon", "inf"], "epsilon must be finite"),
-            (["--trials", "1000001"], "trials"),
-            (["--epsilon", "1e308"], "precession angle"),
-            (["--epsilon", "1e306", "--t-max", "1000", "--dt", "1"], "precession angle"),
-            (["--epsilon", "-inf"], "epsilon must be finite"),
-            (["--p", "-nan"], "p must be finite"),
-            (["--seed", "-1"], "seed must be an integer >= 0"),
+            (["sec5", "--t-max", "inf"], "t_max must be finite"),
+            (["sec5", "--t-max", "1e12", "--dt", "1"], "grid points"),
+            (["sec5", "--epsilon", "inf"], "epsilon must be finite"),
+            (["sec5", "--trials", "1000001"], "trials"),
+            (["sec5", "--epsilon", "1e308"], "precession angle"),
+            (["sec5", "--epsilon", "1e306", "--t-max", "1000", "--dt", "1"], "precession angle"),
+            (["sec5", "--epsilon", "-inf"], "epsilon must be finite"),
+            (["sec5", "--p", "-nan"], "p must be finite"),
+            (["sec5", "--seed", "-1"], "seed must be an integer >= 0"),
+            (["sec6", "--epsilon", "0"], "epsilon 0 stops the precession"),
+            (["sec6", "--epsilon", "-0"], "epsilon 0 stops the precession"),
         ],
         ids=[
             "t-max-inf",
@@ -241,15 +243,17 @@ class TestMain:
             "epsilon-minus-inf",
             "p-minus-nan",
             "negative-seed",
+            "sec6-epsilon-zero",
+            "sec6-epsilon-minus-zero",
         ],
     )
-    def test_bad_numbers_exit_one_before_any_work(self, flags, message, tmp_path, capsys):
+    def test_bad_numbers_exit_one_before_any_work(self, args, message, tmp_path, capsys):
         """Refused before the grid or the suite is allocated, with no warnings."""
         path = tmp_path / "out.csv"
         tracemalloc.start()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["run", "sec5", *flags, "--out", str(path)])
+            code = main(["run", *args, "--out", str(path)])
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert code == 1

@@ -228,6 +228,27 @@ def test_a_finished_write_replaces_the_file(tmp_path):
     assert os.listdir(tmp_path) == ["out.csv"]
 
 
+@pytest.mark.parametrize("planted", ["file", "symlink"])
+def test_a_stale_temporary_file_is_replaced(planted, tmp_path):
+    """A run killed mid-write leaves its temporary file behind; a later run
+    that gets the same pid removes it and writes the target with the mode a
+    fresh write gets. A symlink planted there is removed, never followed."""
+    stale = tmp_path / f".r.csv.{os.getpid()}.tmp"
+    victim = tmp_path / "victim"
+    victim.write_bytes(b"keep\n")
+    if planted == "file":
+        stale.write_bytes(b"partial")
+    else:
+        stale.symlink_to(victim)
+    args = ["run", "sec5", "--t-max", "1", "--dt", "0.1", "--out"]
+    assert main([*args, str(tmp_path / "r.csv")]) == 0
+    assert main([*args, str(tmp_path / "fresh.csv")]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "r.csv", "victim"]
+    assert victim.read_bytes() == b"keep\n"
+    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert (tmp_path / "r.csv").stat().st_mode == (tmp_path / "fresh.csv").stat().st_mode
+
+
 def test_out_may_name_a_device():
     """A target that is not a regular file is written in place, not replaced."""
     assert main(["run", "sec5", "--t-max", "1", "--dt", "0.1", "--out", os.devnull]) == 0

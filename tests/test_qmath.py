@@ -1,7 +1,9 @@
 """Algebraic identities of the dense matrix layer.
 
 Every assertion comes from a textbook identity or an independent entrywise
-construction written out in the test body.
+construction written out in the test body. The adjoint and the matrix
+predicates (tests/oracles.py) and spin_unitary (tests/random_inputs.py) are
+test helpers that other tests rely on, so they are checked here too.
 """
 
 import re
@@ -9,26 +11,11 @@ import re
 import numpy as np
 import pytest
 
-from spinpair import qmath
-from spinpair.dynamics_linear import ProductUnitary, heisenberg_probability
+from oracles import dagger, is_density, is_hermitian, is_projector, is_unitary
+from random_inputs import spin_unitary
 from spinpair.measurement import MeasurementBasis
-from spinpair.qmath import (
-    ConsistencyError,
-    IDENTITY_2,
-    dagger,
-    is_density,
-    is_hermitian,
-    is_projector,
-    is_unitary,
-    mean_value,
-    pauli,
-    projector,
-    spin_unitary,
-    tensor,
-    trace_out_remote,
-    trace_out_system,
-)
-from spinpair.states import DOWN, UP, Branch, Ensemble, correlated_ensemble, product_ensemble
+from spinpair.qmath import IDENTITY_2, ConsistencyError, mean_value, pauli, projector, trace_out_remote
+from spinpair.states import DOWN, UP, Branch, correlated_ensemble, product_ensemble
 
 ATOL = 1e-12
 
@@ -105,29 +92,6 @@ class TestDagger:
             dagger(np.array([[np.nan, 0], [0, 1]], dtype=complex))
 
 
-class TestTensor:
-    def test_identity_pair(self):
-        np.testing.assert_array_equal(tensor(IDENTITY_2, IDENTITY_2), np.eye(4, dtype=complex))
-
-    def test_trace_multiplicativity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = random_matrix(rng, 2)
-            b = random_matrix(rng, 2)
-            assert abs(np.trace(tensor(a, b)) - np.trace(a) * np.trace(b)) <= 1e-10
-
-    def test_system_factor_is_slow(self):
-        """tensor(pauli(3), I) leaves any up (x) r vector with eigenvalue +1."""
-        rng = np.random.default_rng(4)
-        r = random_vector(rng, 2)
-        vec = np.kron(np.array([1.0, 0.0], dtype=complex), r)
-        np.testing.assert_allclose(tensor(pauli(3), IDENTITY_2) @ vec, vec, atol=ATOL)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            tensor(np.eye(4), np.eye(2))
-
-
 class TestPartialTrace:
     def test_product_state_factorizes(self):
         """trace_out_remote(rho (x) mu) = rho * trace(mu) entrywise."""
@@ -154,7 +118,6 @@ class TestPartialTrace:
         for _ in range(20):
             m = random_matrix(rng, 4)
             assert abs(np.trace(trace_out_remote(m)) - np.trace(m)) <= 1e-10
-            assert abs(np.trace(trace_out_system(m)) - np.trace(m)) <= 1e-10
 
     def test_hermiticity_is_preserved(self):
         rng = np.random.default_rng(7)
@@ -163,9 +126,9 @@ class TestPartialTrace:
         assert is_hermitian(trace_out_remote(h), atol=1e-10)
 
     def test_remote_and_system_sides_differ(self):
+        """Of up (x) down, the system factor up is what remains."""
         up_down = np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])).astype(complex)
         np.testing.assert_allclose(trace_out_remote(up_down), np.diag([1.0, 0.0]), atol=ATOL)
-        np.testing.assert_allclose(trace_out_system(up_down), np.diag([0.0, 1.0]), atol=ATOL)
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -271,25 +234,17 @@ class TestPredicates:
 
 # Every public entry point that takes an array: (call on the array, the
 # name its error gives the array, the shape it accepts).
-SINGLE_UP = Ensemble((Branch(1.0, np.kron(UP, UP)),))
 BOUNDARIES = {
     "Branch": (lambda x: Branch(1.0, x), "branch vector", (4,)),
     "MeasurementBasis": (lambda x: MeasurementBasis((x, IDENTITY_2)), "projector 0", (2, 2)),
-    "ProductUnitary": (lambda x: ProductUnitary(IDENTITY_2, x), "remote_u", (2, 2)),
     "product_ensemble": (
         lambda x: product_ensemble([(1.0, x)], [(1.0, UP)]), "system vector", (2,)
     ),
     "correlated_ensemble": (
         lambda x: correlated_ensemble(0.5, UP, UP, DOWN, x), "remote_b", (2,)
     ),
-    "tensor": (lambda x: tensor(IDENTITY_2, x), "b", (2, 2)),
     "trace_out_remote": (trace_out_remote, "composite", (4, 4)),
     "projector": (projector, "vector", (2,)),
-    "heisenberg_probability": (
-        lambda x: heisenberg_probability(x, ProductUnitary(IDENTITY_2, IDENTITY_2), SINGLE_UP),
-        "proposition",
-        (2, 2),
-    ),
 }
 
 
