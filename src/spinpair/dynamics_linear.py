@@ -8,14 +8,15 @@ checks that guarantee on seeded random inputs and reports the worst
 deviation it found.
 
 The suite works on trials in batches of at most CHUNK. draw_trials draws a
-batch as stacked arrays, and trial_probabilities evaluates every route of
-every trial at once on (n, 4, 4) stacks. Each route is still computed the
-long way round (collapse onto each remote outcome, the full composite
-Heisenberg operator, evolution of the collapsed branches), so no checked
-identity holds by construction. The per-trial forms of the same routes
-(ProductUnitary, evolve, heisenberg_probability) are in tests/oracles.py;
-the tests rebuild single trials with them as the oracle for the batched
-kernel.
+batch as stacked arrays, trial axis first. trial_probabilities moves that
+axis last, so an operator is a (4, 4, n) array and every product, density
+and trace over the batch is a few elementwise operations on n-long rows.
+Each route is still computed the long way round (collapse onto each remote
+outcome, the full composite Heisenberg operator, evolution of the collapsed
+branches), so no checked identity holds by construction. The per-trial
+forms of the same routes (ProductUnitary, evolve, heisenberg_probability)
+are in tests/oracles.py; the tests rebuild single trials with them as the
+oracle for the batched kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .measurement import PROB_FLOOR
 from .qmath import ATOL, IDENTITY_2, MEAN_IMAG_TOL, ConsistencyError, pauli
 from .states import NORM_ATOL
 
-# Trials per batch. The suite's working memory is one batch (about 21 MB
+# Trials per batch. The suite's working memory is one batch (about 20 MB
 # traced at this size), whatever the trial count.
 CHUNK = 4096
 
@@ -67,9 +68,6 @@ class TrialBatch:
     u: np.ndarray
     v: np.ndarray
     v_alt: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.branches)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,25 +137,49 @@ def draw_trials(rng: np.random.Generator, n: int) -> TrialBatch:
     )
 
 
+EYE = IDENTITY_2[:, :, None]  # broadcasts over the trial axis
+
+
+def _trials_last(a: np.ndarray, *axes: int) -> np.ndarray:
+    """A TrialBatch field with its other axes in the given order, then the trial axis."""
+    return np.ascontiguousarray(a.transpose(*axes, 0))
+
+
 def _adjoint(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
+    return m.conj().swapaxes(0, 1)
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix products a (i, j, ...) times b (j, c, ...), giving (i, c, ...);
+    the axes after the first two broadcast, the trial axis last."""
+    out = a[:, 0, None] * b[0]
+    for j in range(1, len(b)):
+        out += a[:, j, None] * b[j]
+    return out
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products of stacked 2x2 operators, system factor slow."""
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    return np.einsum("...ac,...bd->...abcd", a, b).reshape(*lead, 4, 4)
+    """Kronecker products of stacked 2x2 operators (2, 2, ...), system factor slow."""
+    rest = np.broadcast_shapes(a.shape[2:], b.shape[2:])
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4, *rest)
 
 
 def _density(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Weighted sums of branch projectors: (..., b) weights, (..., b, 4) vectors."""
-    return np.einsum("...b,...bi,...bj->...ij", weights, vectors, vectors.conj())
+    """Weighted sums of branch projectors: (b, ...) weights, (4, b, ...) vectors."""
+    rho = np.zeros((4, 4, *vectors.shape[2:]), complex)
+    for w, psi in zip(weights, vectors.swapaxes(0, 1)):
+        rho += (w * psi)[:, None] * psi.conj()[None]
+    return rho
 
 
 def _expect(operator: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Real expectations Tr(operator rho) over stacks; ConsistencyError when an
-    imaginary residue exceeds MEAN_IMAG_TOL, as mean_value raises."""
-    value = np.einsum("...ij,...ji->...", operator, rho)
+    imaginary residue exceeds MEAN_IMAG_TOL, as mean_value raises. The terms
+    are added in order: numpy would sum a lone trial's terms pairwise, so a
+    trial's bits would depend on its batch."""
+    terms = operator * rho.swapaxes(0, 1)
+    terms = terms.reshape(-1, *terms.shape[2:])
+    value = sum(terms[1:], terms[0])
     residue = float(np.max(np.abs(value.imag)))
     if not residue <= MEAN_IMAG_TOL:
         raise ConsistencyError(
@@ -169,72 +191,70 @@ def _expect(operator: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _require(ok: np.ndarray, what: str) -> None:
     """ValueError naming the first trial whose entries of ok are not all true."""
-    per_trial = ok.reshape(len(ok), -1).all(axis=1)
+    per_trial = ok.reshape(-1, ok.shape[-1]).all(axis=0)
     if not per_trial.all():
         raise ValueError(f"{what} (trial {int(np.argmin(per_trial))} of the batch)")
 
 
 def _max_dev(m: np.ndarray, target) -> np.ndarray:
-    return np.abs(m - target).max(axis=(-2, -1))
+    return np.abs(m - target).max(axis=(0, 1))
 
 
-def _check_inputs(batch: TrialBatch) -> None:
-    """The checks the per-trial constructors make, once per batch."""
-    w = batch.weights
-    _require(np.abs(np.linalg.norm(batch.vectors, axis=-1) - 1.0) <= NORM_ATOL,
+def _check_inputs(weights, psi, basis, q, unitaries: dict) -> None:
+    """The per-trial constructors' checks, once per batch, on trial-last arrays."""
+    _require(np.abs(np.sqrt((psi.real**2 + psi.imag**2).sum(axis=0)) - 1.0) <= NORM_ATOL,
              "branch vectors must be normalized")
-    _require((w >= 0.0) & (w <= 1.0) & (np.abs(w.sum(axis=1) - 1.0) <= NORM_ATOL)[:, None],
+    _require((weights >= 0.0) & (weights <= 1.0) & (np.abs(weights.sum(axis=0) - 1.0) <= NORM_ATOL),
              "branch weights must lie in [0, 1] and sum to 1")
-    for name in ("u", "v", "v_alt"):
-        m = getattr(batch, name)
-        _require(_max_dev(_adjoint(m) @ m, IDENTITY_2) <= ATOL,
-                 f"{name} is not unitary within tolerance")
-    ps = np.concatenate([batch.basis, batch.proposition[:, None]], axis=1)
+    for name, m in unitaries.items():
+        _require(_max_dev(_mul(_adjoint(m), m), EYE) <= ATOL, f"{name} is not unitary within tolerance")
+    ps = np.concatenate([basis, q[:, :, None]], axis=2)
     _require(_max_dev(ps, _adjoint(ps)) <= ATOL, "basis and proposition must be hermitian")
-    _require(_max_dev(ps @ ps, ps) <= ATOL, "basis and proposition must be idempotent")
-    _require(_max_dev(batch.basis[:, 0] @ batch.basis[:, 1], 0.0) <= ATOL,
+    _require(_max_dev(_mul(ps, ps), ps) <= ATOL, "basis and proposition must be idempotent")
+    _require(_max_dev(_mul(basis[:, :, 0], basis[:, :, 1]), 0.0) <= ATOL,
              "basis projectors must be orthogonal")
-    _require(_max_dev(batch.basis.sum(axis=1), IDENTITY_2) <= ATOL,
-             "basis projectors must sum to the identity")
+    _require(_max_dev(basis.sum(axis=2), EYE) <= ATOL, "basis projectors must sum to the identity")
+
+
+def _collapse(weights, psi, basis, rho):
+    """Every branch collapsed onto each remote outcome I x P_k, as measure_all does:
+    outcome probabilities (k, n), 0 where none fires; post weights (b, k, n) and branches (4, b, k, n)."""
+    remote = _kron(EYE[..., None], basis)
+    prob = _expect(remote, rho[:, :, None])
+    post = _mul(remote, psi[:, :, None])
+    overlap = (post.real**2 + post.imag**2).sum(axis=0)
+    kept = overlap > PROB_FLOOR
+    mass = np.where(kept, weights[:, None] * overlap, 0.0)
+    kept_mass = mass.sum(axis=0)
+    post /= np.sqrt(np.where(kept, overlap, 1.0))
+    # an outcome that keeps no branch does not fire; its post-state stays zero
+    return np.where(prob > PROB_FLOOR, prob, 0.0), mass / np.where(kept_mass > 0.0, kept_mass, 1.0), post
 
 
 def trial_probabilities(batch: TrialBatch) -> TrialProbabilities:
     """Every route of every trial in the batch; see TrialProbabilities."""
-    _check_inputs(batch)
-    n = len(batch)
-    psi = batch.vectors
-    rho = _density(batch.weights, psi)
-    rho_sys = np.einsum("niaja->nij", rho.reshape(n, 2, 2, 2, 2))
-    q = batch.proposition
-    q_composite = _kron(q, IDENTITY_2)
-
-    # collapse every branch onto each remote outcome I x P_k, as measure_all does
-    remote = _kron(IDENTITY_2, batch.basis)
-    prob = _expect(remote, rho[:, None])
-    fires = prob > PROB_FLOOR
-    phi = np.einsum("nkij,nbj->nkbi", remote, psi)
-    overlap = np.einsum("nkbi,nkbi->nkb", phi.conj(), phi).real
-    kept = overlap > PROB_FLOOR
-    mass = np.where(kept, batch.weights[:, None] * overlap, 0.0)
-    kept_mass = mass.sum(axis=2, keepdims=True)
-    # an outcome that keeps no branch does not fire; its post-state stays zero
-    post_weights = mass / np.where(kept_mass > 0.0, kept_mass, 1.0)
-    post = phi / np.sqrt(np.where(kept, overlap, 1.0))[..., None]
-    outcome_prob = np.where(fires, prob, 0.0)
-
-    w = _kron(batch.u, batch.v)
-    w_alt = _kron(batch.u, batch.v_alt)
-    evolved = np.einsum("nij,nkbj->nkbi", w, post)
-    q_outcomes = q_composite[:, None]
+    weights = _trials_last(batch.weights, 1)  # (b, n)
+    psi = _trials_last(batch.vectors, 2, 1)  # (4, b, n): branch vectors as columns
+    basis = _trials_last(batch.basis, 2, 3, 1)  # (2, 2, k, n)
+    q, u, v, v_alt = (_trials_last(m, 1, 2) for m in (batch.proposition, batch.u, batch.v, batch.v_alt))
+    _check_inputs(weights, psi, basis, q, {"u": u, "v": v, "v_alt": v_alt})
+    rho = _density(weights, psi)
+    rho_sys = rho.reshape(2, 2, 2, 2, -1).trace(axis1=1, axis2=3)
+    q_composite = _kron(q, EYE)
+    w = _kron(u, v)
+    w_alt = _kron(u, v_alt)
+    outcome_prob, post_weights, post = _collapse(weights, psi, basis, rho)
+    q_outcomes = q_composite[:, :, None]
     joint = outcome_prob * _expect(q_outcomes, _density(post_weights, post))
+    evolved = _mul(w[:, :, None], post)
     interposed = outcome_prob * _expect(q_outcomes, _density(post_weights, evolved))
     return TrialProbabilities(
         direct=_expect(q, rho_sys),
-        joint=joint.sum(axis=1),
-        heisenberg=_expect(_adjoint(w) @ q_composite @ w, rho),
-        heisenberg_alt=_expect(_adjoint(w_alt) @ q_composite @ w_alt, rho),
-        reduced=_expect(_adjoint(batch.u) @ q @ batch.u, rho_sys),
-        interposed=interposed.sum(axis=1),
+        joint=joint.sum(axis=0),
+        heisenberg=_expect(_mul(_mul(_adjoint(w), q_composite), w), rho),
+        heisenberg_alt=_expect(_mul(_mul(_adjoint(w_alt), q_composite), w_alt), rho),
+        reduced=_expect(_mul(_mul(_adjoint(u), q), u), rho_sys),
+        interposed=interposed.sum(axis=0),
     )
 
 

@@ -12,6 +12,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     ProductUnitary,
@@ -211,7 +213,7 @@ class TestBatchedKernel:
         for seed in (70, 71, 72):
             batch = draw_trials(np.random.default_rng(seed), 20)
             batched = trial_probabilities(batch)
-            for i in range(len(batch)):
+            for i in range(len(batch.branches)):
                 counts.add(int(batch.branches[i]))
                 for vec in batch.vectors[i, : batch.branches[i]]:
                     kinds.add(abs(np.linalg.det(vec.reshape(2, 2))) < 1e-12)  # True: product
@@ -221,6 +223,32 @@ class TestBatchedKernel:
                     assert got == pytest.approx(expected[route], abs=ATOL), (seed, i, route)
         assert counts == {1, 2, 3, 4}
         assert kinds == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, CHUNK + 1])
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_route_matches_the_oracle_across_the_batch(self, n, seed):
+        """Trials from the start, middle and end of the batch: a kernel that
+        mixes up the trial axis gives one trial another's operator or state."""
+        batch = draw_trials(np.random.default_rng(seed), n)
+        batched = trial_probabilities(batch)
+        for i in sorted({0, n // 2, n - 1}):
+            expected = oracle(batch, i)
+            for route in ROUTES:
+                assert getattr(batched, route)[i] == pytest.approx(expected[route], abs=ATOL), (i, route)
+
+    @pytest.mark.parametrize("n, cut", [(2, 1), (20, 1), (20, 7), (20, 19), (CHUNK + 1, CHUNK)])
+    def test_a_batch_and_its_slices_give_the_same_bits(self, n, cut):
+        batch = draw_trials(np.random.default_rng(79), n)
+        whole = trial_probabilities(batch)
+        parts = [
+            trial_probabilities(replace(batch, **{f.name: getattr(batch, f.name)[rows] for f in fields(batch)}))
+            for rows in (slice(None, cut), slice(cut, None))
+        ]
+        for route in ROUTES:
+            np.testing.assert_array_equal(
+                getattr(whole, route), np.concatenate([getattr(part, route) for part in parts]), err_msg=route
+            )
 
     def test_padding_slots_carry_no_weight(self):
         batch = draw_trials(np.random.default_rng(73), 200)

@@ -14,7 +14,7 @@ from spinpair.cli import main
 
 # verify-linear and `run sec3 --format json` resolve to the same scenario and
 # the same defaults, so they must write the same bytes.
-LINEAR_SHA256 = "9304bf2e2f4d5911a38e6d0a2ee44a47a336ec73ad66879aa4eb3063d40a282e"
+LINEAR_SHA256 = "d4f5f92ea08b8541e0160540f3f3100d8b1b7dcaf4227a308c940259f3941d63"
 
 GOLDEN = {
     "sec5-csv": (["run", "sec5", "--format", "csv"], "f6fdfb858c6ac1a9167db2383f09c8277a59af4ab03a324ca552c10c608ab90d"),
