@@ -227,6 +227,7 @@ class TestMain:
             (["sec5", "--trials", "1000001"], "trials"),
             (["sec5", "--epsilon", "1e308"], "precession angle"),
             (["sec5", "--epsilon", "1e306", "--t-max", "1000", "--dt", "1"], "precession angle"),
+            (["sec8", "--epsilon", "1048577", "--t-max", "8", "--dt", "0.01"], "exceeds the cap"),
             (["sec5", "--epsilon", "-inf"], "epsilon must be finite"),
             (["sec5", "--p", "-nan"], "p must be finite"),
             (["sec5", "--seed", "-1"], "seed must be an integer >= 0"),
@@ -240,6 +241,7 @@ class TestMain:
             "too-many-trials",
             "angle-overflow",
             "angle-overflow-at-t-max",
+            "angle-over-the-cap",
             "epsilon-minus-inf",
             "p-minus-nan",
             "negative-seed",

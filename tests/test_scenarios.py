@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from spinpair.dynamics_nonlinear import fixed_rate, time_grid
 from spinpair.scenarios import (
+    MAX_ANGLE,
     MAX_GRID_POINTS,
     MAX_TRIALS,
     SPECS,
@@ -79,7 +80,11 @@ class TestScenarioConfig:
 
     def test_rejects_an_overflowing_precession_angle(self):
         """2 * |epsilon| * t_max bounds every angle the precession reaches."""
-        ScenarioConfig(epsilon=-5e306, t_max=10.0)
+        assert MAX_ANGLE == 2.0**24
+        ScenarioConfig(epsilon=-np.nextafter(2.0**20, 0.0), t_max=8.0)  # just under the cap
+        ScenarioConfig(epsilon=-(2.0**20), t_max=8.0)  # at the cap
+        with pytest.raises(ValueError, match="precession angle .* exceeds the cap 16777216.0"):
+            ScenarioConfig(epsilon=-np.nextafter(2.0**20, np.inf), t_max=8.0)
         with pytest.raises(ValueError, match="precession angle"):
             ScenarioConfig(epsilon=1e308)
         with pytest.raises(ValueError, match="precession angle"):
