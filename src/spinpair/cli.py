@@ -234,12 +234,19 @@ def _render_csv(report: ScenarioReport, precision: int):
 
     def render(write) -> None:
         write("t,arm,sigma1,sigma2,sigma3\n")
+        grid, grid_chunks = None, []
         for arm_name, traj in report.arms.items():
-            for start in range(0, len(traj), ROWS):
+            # arms on the same grid bits share its chunk texts, kept joined
+            if grid is None or not np.array_equal(grid.view(np.int64), traj.times.view(np.int64)):
+                grid = traj.times
+                grid_chunks = [
+                    "\n".join(_float_texts(grid[start : start + ROWS], precision))
+                    for start in range(0, len(grid), ROWS)
+                ]
+            for start, times in zip(range(0, len(traj), ROWS), grid_chunks):
                 block = traj.points[start : start + ROWS]
-                times = _float_texts(traj.times[start : start + ROWS], precision)
                 columns = [_float_texts(block[:, j], precision) for j in range(3)]
-                write("\n".join(map(",".join, zip(times, repeat(str(arm_name)), *columns))) + "\n")
+                write("\n".join(map(",".join, zip(times.split("\n"), repeat(str(arm_name)), *columns))) + "\n")
 
     return render
 

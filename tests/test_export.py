@@ -133,12 +133,14 @@ def test_grids_at_a_chunk_boundary_match_the_per_float_route(rows, points):
 
 def nested_report(narrative_extra=None):
     """A hand-made report with trajectories in lists, in nested dicts and on
-    two time grids, holding the floats whose spellings differ."""
+    three time grids, holding the floats whose spellings differ."""
     grid = np.array([0.0, 1e-5, 1.0, 1e12])
     odd = Trajectory(grid, np.array([[0.0, -0.0, 5e-324], [1e-310, 1.0, -1.0],
                                      [1e15, 1 / 3, 0.1 + 0.2], [2.0**53, -5e-324, 1e16]]))
     flat = Trajectory(grid, np.full((4, 3), 0.25))
     other = Trajectory(np.array([0.5]), np.array([[0.5, -0.5, 0.0]]))
+    # the same grid values but one bit: "-0" must not reuse the grid text "0"
+    signed = Trajectory(np.array([-0.0, 1e-5, 1.0, 1e12]), np.full((4, 3), 0.5))
     narrative = {
         "per_outcome_trajectories": {"outcome0": flat, "outcome1": odd},
         "deeper": {"list": [other, {"again": flat}], "value": -0.0},
@@ -147,7 +149,7 @@ def nested_report(narrative_extra=None):
     return ScenarioReport(
         ScenarioId.ENTANGLEMENT,
         ScenarioConfig(t_max=1, dt=0.5),
-        {"armA": odd, "arm%B": flat},
+        {"armA": odd, "arm%B": flat, "armC": signed, "armD": other},
         1e-5,
         narrative,
         (ContractCheck("made-up bound", 5e-324, 1e12),),
