@@ -217,8 +217,9 @@ def _check_inputs(weights, psi, basis, q, unitaries: dict) -> None:
 
 
 def _collapse(weights, psi, basis, rho):
-    """Every branch collapsed onto each remote outcome I x P_k, as measure_all does:
-    outcome probabilities (k, n), 0 where none fires; post weights (b, k, n) and branches (4, b, k, n)."""
+    """Every branch collapsed onto each remote outcome I x P_k, as measure_all
+    does: the outcome probabilities (k, n), 0 for an outcome that does not
+    fire, and the post-measurement weights (b, k, n) and branches (4, b, k, n)."""
     remote = _kron(EYE[..., None], basis)
     prob = _expect(remote, rho[:, :, None])
     post = _mul(remote, psi[:, :, None])
@@ -241,8 +242,7 @@ def trial_probabilities(batch: TrialBatch) -> TrialProbabilities:
     rho = _density(weights, psi)
     rho_sys = rho.reshape(2, 2, 2, 2, -1).trace(axis1=1, axis2=3)
     q_composite = _kron(q, EYE)
-    w = _kron(u, v)
-    w_alt = _kron(u, v_alt)
+    w, w_alt = _kron(u, v), _kron(u, v_alt)
     outcome_prob, post_weights, post = _collapse(weights, psi, basis, rho)
     q_outcomes = q_composite[:, :, None]
     joint = outcome_prob * _expect(q_outcomes, _density(post_weights, post))
