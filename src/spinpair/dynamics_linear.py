@@ -29,7 +29,7 @@ from .measurement import PROB_FLOOR
 from .qmath import ATOL, IDENTITY_2, MEAN_IMAG_TOL, ConsistencyError, pauli
 from .states import NORM_ATOL
 
-# Trials per batch. The suite's working memory is one batch (about 20 MB
+# Trials per batch. The suite's working memory is one batch (about 18 MB
 # traced at this size), whatever the trial count.
 CHUNK = 4096
 
@@ -243,11 +243,11 @@ def trial_probabilities(batch: TrialBatch) -> TrialProbabilities:
     rho_sys = rho.reshape(2, 2, 2, 2, -1).trace(axis1=1, axis2=3)
     q_composite = _kron(q, EYE)
     w, w_alt = _kron(u, v), _kron(u, v_alt)
-    outcome_prob, post_weights, post = _collapse(weights, psi, basis, rho)
+    outcome_prob, post_weights, branches = _collapse(weights, psi, basis, rho)
     q_outcomes = q_composite[:, :, None]
-    joint = outcome_prob * _expect(q_outcomes, _density(post_weights, post))
-    evolved = _mul(w[:, :, None], post)
-    interposed = outcome_prob * _expect(q_outcomes, _density(post_weights, evolved))
+    joint = outcome_prob * _expect(q_outcomes, _density(post_weights, branches))
+    branches[...] = _mul(w[:, :, None], branches)  # evolve in place: no second copy held
+    interposed = outcome_prob * _expect(q_outcomes, _density(post_weights, branches))
     return TrialProbabilities(
         direct=_expect(q, rho_sys),
         joint=joint.sum(axis=0),
