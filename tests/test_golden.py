@@ -1,5 +1,5 @@
-"""Golden outputs: SHA-256 of every default-config export and of three
-non-default precisions.
+"""Golden outputs: SHA-256 of every default-config export, of three
+non-default precisions and of two non-default grids.
 
 A refactor of the scenario, measurement, dynamics or export code must leave
 these bytes unchanged. A change that alters an output on purpose updates the
@@ -42,6 +42,16 @@ GOLDEN = {
     "sec7-csv-p16": (
         ["run", "sec7", "--format", "csv", "--precision", "16"],
         "fac96cd5c599fad548afff79f53511e8c014959757699839d0754eafd0eb1f5c",
+    ),
+    # non-default grids whose last chunk of rows is a short one: 40,001 and
+    # 35,716 points per trajectory
+    "sec8-json-t40": (
+        ["run", "sec8", "--format", "json", "--t-max", "40"],
+        "14ce2df004dd08de2cc4a38ae9e0509b85e8ae896bca8ac9b6a308c59d02fdbd",
+    ),
+    "sec7-csv-t25-dt7e-4": (
+        ["run", "sec7", "--format", "csv", "--t-max", "25", "--dt", "0.0007"],
+        "20b07e7b816e485a6cad442ee1dcf43f5b25fffd3305a5419d756d84e42b9970",
     ),
     "verify-linear": (["verify-linear"], LINEAR_SHA256),
     "sec3-json": (["run", "sec3", "--format", "json"], LINEAR_SHA256),
