@@ -4,7 +4,6 @@ state-dependent mean-value precession."""
 from .dynamics_linear import NoSignallingReport, no_signalling_suite
 from .dynamics_nonlinear import (
     EvolutionPolicy,
-    Trajectory,
     evolve_ensemble,
     fixed_rate,
     mean_field_rate,

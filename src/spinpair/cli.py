@@ -19,7 +19,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .dynamics_nonlinear import Trajectory
 from .scenarios import (
     SPECS,
     BasisChoice,
@@ -142,10 +141,11 @@ def parse_args(argv) -> RunConfig:
 def _float_texts(column, precision: int, as_json: bool = False) -> list[str]:
     """The `%.{precision}g` text of each value of a 1-d float array; as JSON,
     spelled the way json writes float(text). A column whose entries share
-    one bit pattern is formatted once."""
-    data = column.tobytes()
-    if len(column) > 1 and data == data[: column.itemsize] * len(column):
-        return _float_texts(column[:1], precision, as_json) * len(column)
+    one bit pattern (finite floats that are equal and of one sign) is
+    formatted once."""
+    first = column[:1]
+    if len(column) > 1 and np.all(column == first) and np.all(np.signbit(column) == np.signbit(first)):
+        return _float_texts(first, precision, as_json) * len(column)
     values = column.tolist()
     if as_json and precision == 17:  # '%.17g' always reads back to x itself
         return list(map(repr, values))
@@ -185,36 +185,35 @@ def _json_spelling(text: str) -> str:
     return repr(value)  # "1e+12" -> "1000000000000.0"; "4.94065645841e-324" -> "5e-324"
 
 
-def _write_trajectory(write, traj: Trajectory, precision: int, pad: str, grids: dict) -> None:
+def _write_trajectory(write, points, times, precision: int, pad: str, grids: dict) -> None:
     """`{"points": ..., "times": ...}` as json.dumps(indent=2) writes it at
-    indent `pad`, in chunks of ROWS rows; `grids` caches the time grid's
-    chunk texts by its values and `pad`."""
+    indent `pad`, in chunks of ROWS rows; `grids` caches the chunk texts of
+    the report's one time grid by `pad`."""
     i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
     row_sep, join_row = f"\n{i2}],\n{i2}[\n{i3}", f",\n{i3}".join
     write(f'{{\n{i1}"points": [\n{i2}[\n{i3}')
-    for start in range(0, len(traj), ROWS):
-        block = traj.points[start : start + ROWS]
+    for start in range(0, len(points), ROWS):
+        block = points[start : start + ROWS]
         columns = [_float_texts(block[:, j], precision, True) for j in range(3)]
         if start:
             write(row_sep)
         write(row_sep.join(map(join_row, zip(*columns))))
     write(f'\n{i2}]\n{i1}],\n{i1}"times": [\n{i2}')
-    key = (traj.times.tobytes(), pad)
-    if key not in grids:
+    if pad not in grids:
         sep = f",\n{i2}"
-        grids[key] = [
-            (sep if start else "") + sep.join(_float_texts(traj.times[start : start + ROWS], precision, True))
-            for start in range(0, len(traj), ROWS)
+        grids[pad] = [
+            (sep if start else "") + sep.join(_float_texts(times[start : start + ROWS], precision, True))
+            for start in range(0, len(times), ROWS)
         ]
-    for text in grids[key]:
+    for text in grids[pad]:
         write(text)
     write(f"\n{i1}]\n{pad}}}")
 
 
 def _jsonable(value, precision: int, trajectories: list):
-    """Report value -> json-ready value; each Trajectory becomes a placeholder
-    string naming its index in `trajectories`."""
-    if isinstance(value, Trajectory):
+    """Report value -> json-ready value; each trajectory (an array) becomes a
+    placeholder string naming its index in `trajectories`."""
+    if isinstance(value, np.ndarray):
         trajectories.append(value)
         return f"\0{len(trajectories) - 1}\0"
     if isinstance(value, dict):
@@ -234,17 +233,14 @@ def _render_csv(report: ScenarioReport, precision: int):
 
     def render(write) -> None:
         write("t,arm,sigma1,sigma2,sigma3\n")
-        grid, grid_chunks = None, []
-        for arm_name, traj in report.arms.items():
-            # arms on the same grid bits share its chunk texts, kept joined
-            if grid is None or not np.array_equal(grid.view(np.int64), traj.times.view(np.int64)):
-                grid = traj.times
-                grid_chunks = [
-                    "\n".join(_float_texts(grid[start : start + ROWS], precision))
-                    for start in range(0, len(grid), ROWS)
-                ]
-            for start, times in zip(range(0, len(traj), ROWS), grid_chunks):
-                block = traj.points[start : start + ROWS]
+        # every arm is on the report's one grid: its chunk texts, kept joined
+        grid_chunks = [
+            "\n".join(_float_texts(report.times[start : start + ROWS], precision))
+            for start in range(0, len(report.times), ROWS)
+        ]
+        for arm_name, points in report.arms.items():
+            for start, times in zip(range(0, len(points), ROWS), grid_chunks):
+                block = points[start : start + ROWS]
                 columns = [_float_texts(block[:, j], precision) for j in range(3)]
                 write("\n".join(map(",".join, zip(times.split("\n"), repeat(str(arm_name)), *columns))) + "\n")
 
@@ -277,7 +273,7 @@ def _render_json(report: ScenarioReport, precision: int):
         for k in range(1, len(pieces), 2):
             line = pieces[k - 1].rpartition("\n")[2]
             pad = line[: len(line) - len(line.lstrip(" "))]
-            _write_trajectory(write, trajectories[int(pieces[k])], precision, pad, grids)
+            _write_trajectory(write, trajectories[int(pieces[k])], report.times, precision, pad, grids)
             write(pieces[k + 1])
 
     return render
@@ -344,7 +340,7 @@ def main(argv=None) -> int:
         return 0
     try:
         report = run_scenario(cfg.scenario, cfg.config)
-    except ValueError as exc:  # DegenerateConfigError or an invalid grid
+    except ValueError as exc:  # DegenerateConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

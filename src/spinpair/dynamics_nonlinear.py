@@ -10,7 +10,9 @@ entangled branch on its own, so BRANCH_MEANS refuses entangled branches
 with NotProductError.
 
 Every trajectory is the closed-form solution: s3 stays constant and
-(s1, s2) rotate by the angle (rate * t), computed by _rotation_points. The
+(s1, s2) rotate by the angle (rate * t), computed by _rotation_points. A
+trajectory is a plain `(n, 3)` array of Bloch vectors, one row per point of
+the time grid it was evaluated on; the grid itself is the caller's. The
 equations of motion, a single-point closed form on that same kernel and an
 independent Runge-Kutta integrator of the equations are test oracles in
 tests/oracles.py; the integrator never sees the closed form, and the two
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,49 +57,6 @@ def fixed_rate(omega: float) -> RateFn:
         return w
 
     return rate
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Time grid plus the Bloch vector at each grid point."""
-
-    times: np.ndarray
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        points = np.asarray(self.points, dtype=float)
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("times must be a non-empty 1-d array")
-        if points.shape != (times.size, 3):
-            raise ValueError(
-                f"points must have shape ({times.size}, 3), got {points.shape}"
-            )
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(points))):
-            raise ValueError("trajectory contains non-finite values")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
-            raise ValueError("times must be strictly increasing")
-        times = times.copy()
-        times.setflags(write=False)
-        points = points.copy()
-        points.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "points", points)
-
-    def __len__(self) -> int:
-        return int(self.times.size)
-
-    @property
-    def sigma1(self) -> np.ndarray:
-        return self.points[:, 0]
-
-    @property
-    def sigma2(self) -> np.ndarray:
-        return self.points[:, 1]
-
-    @property
-    def sigma3(self) -> np.ndarray:
-        return self.points[:, 2]
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
@@ -142,8 +100,9 @@ def evolve_ensemble(
     epsilon: float,
     times,
     rate_fn: RateFn | None = None,
-) -> Trajectory:
-    """Bloch trajectory of the system spin under the chosen evolution policy.
+) -> np.ndarray:
+    """Bloch trajectory of the system spin under the chosen evolution policy:
+    the `(len(times), 3)` array of its Bloch vector at each time.
 
     AGGREGATE_MEANS evolves the ensemble's reduced Bloch vector as one
     initial condition. BRANCH_MEANS evolves every branch's own Bloch vector
@@ -168,4 +127,4 @@ def evolve_ensemble(
             points += branch.weight * _rotation_points(b, rate(b), times)
     else:
         raise ValueError(f"unknown evolution policy {policy!r}")
-    return Trajectory(times, points)
+    return points

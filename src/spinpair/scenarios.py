@@ -6,7 +6,10 @@ remote measurement and an evolution policy. A measured arm evolves every
 outcome and averages the results by outcome probability; an unmeasured arm
 evolves the preparation directly. Each run returns a ScenarioReport with:
 
-* named arms ("armA", "armB"): the contrasted trajectories on one shared grid;
+* times: the one time grid every trajectory of the run is evaluated on;
+* named arms ("armA", "armB"): the contrasted trajectories, each an
+  `(n, 3)` array holding the system spin's Bloch vector at each of the n
+  grid points;
 * divergence: the largest gap in the second Bloch component between arms,
   which is where every contrast in this package shows up;
 * checks: the entry's contract assertions, which the command line turns
@@ -41,7 +44,6 @@ from .dynamics_linear import no_signalling_suite
 from .dynamics_nonlinear import (
     EvolutionPolicy,
     RateFn,
-    Trajectory,
     evolve_ensemble,
     grid_points,
     time_grid,
@@ -120,6 +122,8 @@ class ScenarioConfig:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if self.t_max <= 0.0:
             raise ValueError(f"t_max must be positive, got {self.t_max!r}")
+        if self.dt > self.t_max:
+            raise ValueError(f"dt ({self.dt!r}) must not exceed t_max ({self.t_max!r})")
         too_fine = self.t_max / self.dt >= MAX_GRID_POINTS  # also catches a ratio of inf
         if too_fine or grid_points(self.t_max, self.dt) > MAX_GRID_POINTS:
             raise ValueError(f"t_max / dt asks for over {MAX_GRID_POINTS} grid points per arm")
@@ -156,11 +160,14 @@ class ContractCheck:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioReport:
-    """Everything one run produces; a pure function of its config."""
+    """Everything one run produces; a pure function of its config. Every
+    trajectory, in arms and in the narrative, is an `(n, 3)` array of Bloch
+    vectors on the grid `times` (None for the linear suite, which has none)."""
 
     scenario: ScenarioId
     config: ScenarioConfig
-    arms: Mapping[str, Trajectory]
+    times: np.ndarray | None
+    arms: Mapping[str, np.ndarray]
     divergence: float
     narrative: dict
     checks: tuple[ContractCheck, ...]
@@ -296,7 +303,7 @@ def _p_extras(cfg, preps):
 
 def _no_correlations_checks(cfg, times, arm_a, arm_b, divergence, extras):
     expected = _mixture_s2(cfg.p, cfg.epsilon, times)
-    gap_a, gap_b = (_max_abs(arm.sigma2 - expected) for arm in (arm_a, arm_b))
+    gap_a, gap_b = (_max_abs(arm[:, 1] - expected) for arm in (arm_a, arm_b))
     return (
         ContractCheck("armA matches the mixture solution", gap_a, 1e-8),
         ContractCheck("armB matches the mixture solution", gap_b, 1e-8),
@@ -308,7 +315,7 @@ def _classical_checks(cfg, times, arm_a, arm_b, divergence, extras):
     pure = _pure_s2(cfg.epsilon, times)
     gap = _max_abs(pure - _mixture_s2(cfg.p, cfg.epsilon, times))
     return (
-        ContractCheck("armA matches the pure-state solution", _max_abs(arm_a.sigma2 - pure), 1e-8),
+        ContractCheck("armA matches the pure-state solution", _max_abs(arm_a[:, 1] - pure), 1e-8),
         ContractCheck("divergence matches the analytic gap", abs(divergence - gap), 1e-8),
         ContractCheck("divergence is strictly positive", divergence, 0.0, ">"),
     )
@@ -326,8 +333,8 @@ def _changed_extras(cfg, preps):
 def _changed_checks(cfg, times, arm_a, arm_b, divergence, extras):
     pure = _pure_s2(cfg.epsilon, times)
     return (
-        ContractCheck("armA second component is zero", _max_abs(arm_a.sigma2), 1e-10),
-        ContractCheck("armB matches the pure-state solution", _max_abs(arm_b.sigma2 - pure), 1e-8),
+        ContractCheck("armA second component is zero", _max_abs(arm_a[:, 1]), 1e-10),
+        ContractCheck("armB matches the pure-state solution", _max_abs(arm_b[:, 1] - pure), 1e-8),
         ContractCheck("reduced system densities agree", extras["reduced_density_gap"], 1e-12),
         ContractCheck("composite densities differ", extras["composite_density_gap"], 0.1, ">"),
     )
@@ -340,10 +347,10 @@ def _entanglement_extras(cfg, preps):
 
 def _entanglement_checks(cfg, times, arm_a, arm_b, divergence, extras):
     pure = _pure_s2(cfg.epsilon, times)
-    diag_gap = _max_abs(arm_b.sigma2 - pure)
+    diag_gap = _max_abs(arm_b[:, 1] - pure)
     envelope_gap = abs(divergence - _max_abs(pure))
     return (
-        ContractCheck("updown arm second component is zero", _max_abs(arm_a.sigma2), 1e-10),
+        ContractCheck("updown arm second component is zero", _max_abs(arm_a[:, 1]), 1e-10),
         ContractCheck("diag arm matches the pure-state solution", diag_gap, 1e-8),
         ContractCheck("signal magnitude matches the solution envelope", envelope_gap, 1e-8),
     )
@@ -451,7 +458,7 @@ def run_scenario(
         divergence = max(extras[key] for key in SUITE_DEVIATIONS)
         checks = spec.checks(cfg, None, None, None, divergence, extras)
         narrative = {"description": spec.description, **extras}
-        return ScenarioReport(scenario, cfg, {}, divergence, narrative, checks)
+        return ScenarioReport(scenario, cfg, None, {}, divergence, narrative, checks)
 
     times = time_grid(cfg.t_max, cfg.dt)
     arms, outcomes, per_outcome = {}, {}, {}
@@ -464,7 +471,7 @@ def run_scenario(
         for outcome in measure_all(prepared, arm.basis()):
             post = outcome.post_state
             traj = evolve_ensemble(post, arm.policy, cfg.epsilon, times, rate_fn=rate_fn)
-            points += outcome.probability * traj.points
+            points += outcome.probability * traj
             per_outcome[f"{key}/outcome{outcome.outcome_index}"] = traj
             outcomes[key].append(
                 {
@@ -473,13 +480,13 @@ def run_scenario(
                     "post_branches": _describe_ensemble(post),
                 }
             )
-        arms[key] = Trajectory(times, points)
+        arms[key] = points
     if len(outcomes) == 1:  # a single measured arm needs no arm prefix
         (outcomes,) = outcomes.values()
         per_outcome = {name.partition("/")[2]: traj for name, traj in per_outcome.items()}
 
     arm_a, arm_b = arms["armA"], arms["armB"]
-    divergence = _max_abs(arm_a.sigma2 - arm_b.sigma2)
+    divergence = _max_abs(arm_a[:, 1] - arm_b[:, 1])
     extras = spec.extras(cfg, preps)
     checks = spec.checks(cfg, times, arm_a, arm_b, divergence, extras) if rate_fn is None else ()
     narrative = {
@@ -489,7 +496,7 @@ def run_scenario(
         **extras,
         "outcomes": outcomes,
         "per_outcome_trajectories": per_outcome,
-        "bloch_divergence": float(np.max(np.linalg.norm(arm_a.points - arm_b.points, axis=1))),
+        "bloch_divergence": float(np.max(np.linalg.norm(arm_a - arm_b, axis=1))),
         "rate_override": rate_fn is not None,
     }
-    return ScenarioReport(scenario, cfg, arms, divergence, narrative, checks)
+    return ScenarioReport(scenario, cfg, times, arms, divergence, narrative, checks)

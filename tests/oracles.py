@@ -4,12 +4,13 @@ Every fast route in `spinpair` is compared against an independent slow one
 here; none of these run in a `spinpair` command.
 
 * Export. The exporter in `spinpair.cli` renders each trajectory's float
-  columns to text, splices them into a `json.dumps` of the rest of the
-  report, and streams the result in chunks of rows. render_csv and
-  render_json are the per-float originals it replaced: every float is
-  formatted with `format(x, ".{p}g")`, and in JSON parsed back and written
-  by the json encoder. The fast routes must match them byte for byte;
-  `rendered` joins what they stream.
+  columns and the report's one time grid to text, splices them into a
+  `json.dumps` of the rest of the report, and streams the result in chunks
+  of rows. render_csv and render_json are the per-float originals it
+  replaced: every float is formatted with `format(x, ".{p}g")`, and in JSON
+  parsed back and written by the json encoder, with `report.times` written
+  next to the points of every trajectory. The fast routes must match them
+  byte for byte; `rendered` joins what they stream.
 * Linear dynamics. ProductUnitary, evolve and heisenberg_probability are the
   per-trial forms of the routes that `dynamics_linear.trial_probabilities`
   evaluates on stacks of trials.
@@ -34,7 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from spinpair.dynamics_nonlinear import Trajectory, _rotation_points, mean_field_rate, time_grid
+from spinpair.dynamics_nonlinear import _rotation_points, mean_field_rate, time_grid
 from spinpair.measurement import OutcomeBranch, _collapse
 from spinpair.qmath import ATOL, IDENTITY_2, checked, mean_value
 from spinpair.scenarios import ScenarioReport
@@ -56,16 +57,18 @@ def rounded(value: float, precision: int) -> float:
     return float(fmt(value, precision))
 
 
-def jsonable(value, precision: int):
-    if isinstance(value, Trajectory):
+def jsonable(value, precision: int, times):
+    """Report value -> json-ready value; a trajectory (an array) becomes its
+    points and the grid `times`, each float rounded on its own."""
+    if isinstance(value, np.ndarray):
         return {
-            "times": [rounded(t, precision) for t in value.times],
-            "points": [[rounded(c, precision) for c in row] for row in value.points],
+            "times": [rounded(t, precision) for t in times],
+            "points": [[rounded(c, precision) for c in row] for row in value],
         }
     if isinstance(value, dict):
-        return {str(k): jsonable(v, precision) for k, v in value.items()}
+        return {str(k): jsonable(v, precision, times) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [jsonable(v, precision) for v in value]
+        return [jsonable(v, precision, times) for v in value]
     if isinstance(value, float):
         return rounded(value, precision)
     if isinstance(value, enum.Enum):
@@ -75,13 +78,11 @@ def jsonable(value, precision: int):
 
 def render_csv(report: ScenarioReport, precision: int) -> str:
     lines = ["t,arm,sigma1,sigma2,sigma3"]
-    for arm_name, traj in report.arms.items():
-        for i in range(len(traj)):
+    for arm_name, points in report.arms.items():
+        for t, (s1, s2, s3) in zip(report.times, points):
             lines.append(
-                f"{fmt(traj.times[i], precision)},{arm_name},"
-                f"{fmt(traj.points[i, 0], precision)},"
-                f"{fmt(traj.points[i, 1], precision)},"
-                f"{fmt(traj.points[i, 2], precision)}"
+                f"{fmt(t, precision)},{arm_name},"
+                f"{fmt(s1, precision)},{fmt(s2, precision)},{fmt(s3, precision)}"
             )
     return "\n".join(lines) + "\n"
 
@@ -96,7 +97,7 @@ def render_json(report: ScenarioReport, precision: int) -> str:
         "arms": report.arms,
         "narrative": report.narrative,
     }
-    return json.dumps(jsonable(doc, precision), indent=2, sort_keys=True) + "\n"
+    return json.dumps(jsonable(doc, precision, report.times), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +247,9 @@ def closed_form(b0, epsilon: float, t: float) -> BlochVector:
     return BlochVector(*_rotation_points(b0, mean_field_rate(epsilon)(b0), np.array([t]))[0])
 
 
-def integrate_rk4(b0, epsilon: float, t_max: float, dt: float) -> Trajectory:
-    """Classical fourth-order Runge-Kutta on the mean-value equations.
+def integrate_rk4(b0, epsilon: float, t_max: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Classical fourth-order Runge-Kutta on the mean-value equations: the
+    grid time_grid(t_max, dt) and the `(n, 3)` Bloch vectors on it.
 
     Consumes only eom_rhs; serves as the independent check on closed_form.
     """
@@ -263,4 +265,4 @@ def integrate_rk4(b0, epsilon: float, t_max: float, dt: float) -> Trajectory:
         k4 = eom_rhs(y + h * k3, epsilon)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         points[i + 1] = y
-    return Trajectory(times, points)
+    return times, points

@@ -61,11 +61,11 @@ def test_criterion_2_nonlinear_oracle_equivalence():
     }
     worst_err = worst_s3 = worst_radius = 0.0
     for start in starts.values():
-        traj = integrate_rk4(start, 1.0, 10.0, 1e-3)
-        expected = np.array([bloch_array(closed_form(start, 1.0, t)) for t in traj.times])
-        worst_err = max(worst_err, float(np.max(np.abs(traj.points - expected))))
-        worst_s3 = max(worst_s3, float(np.max(np.abs(traj.sigma3 - start.s3))))
-        radii = np.linalg.norm(traj.points, axis=1)
+        times, points = integrate_rk4(start, 1.0, 10.0, 1e-3)
+        expected = np.array([bloch_array(closed_form(start, 1.0, t)) for t in times])
+        worst_err = max(worst_err, float(np.max(np.abs(points - expected))))
+        worst_s3 = max(worst_s3, float(np.max(np.abs(points[:, 2] - start.s3))))
+        radii = np.linalg.norm(points, axis=1)
         worst_radius = max(worst_radius, float(np.max(np.abs(radii - radii[0]))))
     ok = worst_err < 1e-8 and worst_s3 < 1e-12 and worst_radius < 1e-8
     report(
@@ -80,10 +80,10 @@ def test_criterion_3_uncorrelated_reproduction():
     """Both arms match the mixture waveform within 1e-8; the remote
     measurement moves nothing (divergence < 1e-10)."""
     run = run_scenario(ScenarioId.NO_CORRELATIONS, DEFAULTS)
-    times = run.arms["armA"].times
+    times = run.times
     expected = mixture_s2(DEFAULTS.p, DEFAULTS.epsilon, times)
-    err_a = float(np.max(np.abs(run.arms["armA"].sigma2 - expected)))
-    err_b = float(np.max(np.abs(run.arms["armB"].sigma2 - expected)))
+    err_a = float(np.max(np.abs(run.arms["armA"][:, 1] - expected)))
+    err_b = float(np.max(np.abs(run.arms["armB"][:, 1] - expected)))
     ok = err_a < 1e-8 and err_b < 1e-8 and run.divergence < 1e-10
     report(
         3,
@@ -102,9 +102,9 @@ def test_criterion_4_classical_correlations_reproduction():
             ScenarioId.CLASSICAL_CORRELATIONS,
             ScenarioConfig(p=p, epsilon=1.0, t_max=10.0, dt=1e-3),
         )
-        times = run.arms["armA"].times
+        times = run.times
         worst = max(
-            worst, float(np.max(np.abs(run.arms["armA"].sigma2 - pure_s2(1.0, times))))
+            worst, float(np.max(np.abs(run.arms["armA"][:, 1] - pure_s2(1.0, times))))
         )
     divergence = run_scenario(ScenarioId.CLASSICAL_CORRELATIONS, DEFAULTS).divergence
     ok = worst < 1e-8 and divergence > 0.2
@@ -120,9 +120,9 @@ def test_criterion_5_changed_correlations_reproduction():
     """Silent arm below 1e-10, oscillating arm within 1e-8, same reduced
     density matrices (1e-12), composite matrices apart by more than 0.1."""
     run = run_scenario(ScenarioId.CHANGED_CORRELATIONS, DEFAULTS)
-    times = run.arms["armA"].times
-    silent = float(np.max(np.abs(run.arms["armA"].sigma2)))
-    err_b = float(np.max(np.abs(run.arms["armB"].sigma2 - pure_s2(1.0, times))))
+    times = run.times
+    silent = float(np.max(np.abs(run.arms["armA"][:, 1])))
+    err_b = float(np.max(np.abs(run.arms["armB"][:, 1] - pure_s2(1.0, times))))
     reduced_gap = run.narrative["reduced_density_gap"]
     composite_gap = run.narrative["composite_density_gap"]
     ok = silent < 1e-10 and err_b < 1e-8 and reduced_gap < 1e-12 and composite_gap > 0.1
@@ -139,9 +139,9 @@ def test_criterion_6_entanglement_reproduction():
     """Marker arm silent (< 1e-10), diagonal arm on the waveform (< 1e-8),
     signal magnitude 1/sqrt(2) within 1e-6."""
     run = run_scenario(ScenarioId.ENTANGLEMENT, ScenarioConfig(basis_choice=BasisChoice.DIAG))
-    times = run.arms["armA"].times
-    silent = float(np.max(np.abs(run.arms["armA"].sigma2)))
-    err_b = float(np.max(np.abs(run.arms["armB"].sigma2 - pure_s2(1.0, times))))
+    times = run.times
+    silent = float(np.max(np.abs(run.arms["armA"][:, 1])))
+    err_b = float(np.max(np.abs(run.arms["armB"][:, 1] - pure_s2(1.0, times))))
     signal_gap = abs(run.divergence - 1.0 / SQRT2)
     ok = silent < 1e-10 and err_b < 1e-8 and signal_gap < 1e-6
     report(

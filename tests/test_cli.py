@@ -1,18 +1,23 @@
 """Command-line parsing, report emission, exit codes, and determinism."""
 
+import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinpair import cli
 from spinpair.cli import RunConfig, UsageError, emit_report, main, parse_args
-from spinpair.dynamics_nonlinear import Trajectory
 from spinpair.scenarios import (
+    MAX_ANGLE,
     BasisChoice,
     ContractCheck,
     ScenarioConfig,
@@ -84,14 +89,12 @@ class TestParseArgs:
 
 
 def tiny_report(passed=True):
-    times = np.array([0.0, 0.5, 1.0])
-    arm_a = Trajectory(times, np.zeros((3, 3)))
-    arm_b = Trajectory(times, np.full((3, 3), 0.25))
     check = ContractCheck("made-up bound", 0.0 if passed else 1.0, 0.5)
     return ScenarioReport(
         ScenarioId.NO_CORRELATIONS,
         ScenarioConfig(t_max=1, dt=0.5),  # an int, as a library caller may pass
-        {"armA": arm_a, "armB": arm_b},
+        np.array([0.0, 0.5, 1.0]),
+        {"armA": np.zeros((3, 3)), "armB": np.full((3, 3), 0.25)},
         0.25,
         {"description": "fixture", "value": 0.1},
         (check,),
@@ -120,7 +123,7 @@ class TestEmitReport:
         emit_report(report, run_config(str(path)))
         rows = list(csv.reader(io.StringIO(path.read_text())))[1:]
         for row, expected_t, expected_point in zip(
-            rows[:3], report.arms["armA"].times, report.arms["armA"].points
+            rows[:3], report.times, report.arms["armA"]
         ):
             assert float(row[0]) == pytest.approx(expected_t, abs=1e-12)
             np.testing.assert_allclose([float(x) for x in row[2:]], expected_point, atol=1e-12)
@@ -233,6 +236,7 @@ class TestMain:
             (["sec5", "--seed", "-1"], "seed must be an integer >= 0"),
             (["sec6", "--epsilon", "0"], "epsilon 0 stops the precession"),
             (["sec6", "--epsilon", "-0"], "epsilon 0 stops the precession"),
+            (["sec5", "--t-max", "1", "--dt", "2"], "dt (2.0) must not exceed t_max (1.0)"),
         ],
         ids=[
             "t-max-inf",
@@ -247,6 +251,7 @@ class TestMain:
             "negative-seed",
             "sec6-epsilon-zero",
             "sec6-epsilon-minus-zero",
+            "dt-past-t-max",
         ],
     )
     def test_bad_numbers_exit_one_before_any_work(self, args, message, tmp_path, capsys):
@@ -279,3 +284,68 @@ class TestMain:
             for field in (line.split(",")[0], *line.split(",")[2:]):
                 mantissa = field.split("e")[0].lstrip("-").replace(".", "")
                 assert len(mantissa.lstrip("0")) <= 6
+
+
+def refusal_expected(scenario, p, epsilon, t_max, dt):
+    """Whether a command line with these values must end in exit 1: the
+    refusal rules, written out apart from ScenarioConfig and run_scenario."""
+    if not 0.0 <= p <= 1.0 or t_max <= 0.0 or dt <= 0.0 or dt > t_max:
+        return True
+    if 2.0 * abs(epsilon) * t_max > MAX_ANGLE:
+        return True
+    return scenario == "sec6" and (p in (0.0, 1.0) or epsilon == 0.0)
+
+
+SIGNED = st.floats(1e-3, 4e6).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    scenario=st.sampled_from(["sec5", "sec6", "sec7", "sec8"]),
+    p=st.one_of(st.floats(0.05, 0.95), st.sampled_from([0.0, 1.0, -0.25, 1.25])),
+    epsilon=st.one_of(SIGNED, st.sampled_from([0.0, -0.0, 5e6, -5e6])),
+    t_max=st.one_of(st.floats(0.01, 2.0), st.sampled_from([0.0, -1.0])),
+    dt=st.one_of(st.floats(0.01, 1.0), st.sampled_from([0.0, -0.1, 2.5])),
+    basis=st.sampled_from([b.value for b in BasisChoice]),
+    fmt=st.sampled_from(["csv", "json"]),
+    precision=st.integers(6, 17),
+)
+@example("sec5", 0.75, 1.0, 1.0, 2.0, "updown", "csv", 12)  # dt past t_max
+@example("sec6", 0.5, -(2.0**22), 2.0, 0.5, "diag", "json", 17)  # at the angle cap
+def test_every_small_config_exits_zero_or_is_refused(scenario, p, epsilon, t_max, dt, basis, fmt, precision):
+    """Through main, an accepted config writes its report and exits 0; a
+    refused one exits 1 with a one-line message and leaves no file, not
+    even a temporary one, in the --out directory."""
+    argv = [
+        "run", scenario, "--p", repr(p), "--epsilon", repr(epsilon), "--t-max", repr(t_max),
+        "--dt", repr(dt), "--basis", basis, "--format", fmt, "--precision", str(precision),
+    ]
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, f"report.{fmt}")
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([*argv, "--out", path])
+        if refusal_expected(scenario, p, epsilon, t_max, dt):
+            assert code == 1
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert os.listdir(folder) == []
+        else:
+            assert code == 0, err.getvalue()
+            assert err.getvalue() == ""
+            assert os.listdir(folder) == [f"report.{fmt}"]
+
+
+@pytest.mark.xfail(strict=True, reason="rounding erases the sec6 contrast; see ROADMAP item 2")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--p", "1e-17"],  # 2p - 1 rounds to -1: both arms start from one Bloch vector
+        ["--p", "0.5", "--epsilon", "5e-324"],  # every precession angle underflows
+    ],
+    ids=["p-within-rounding-of-zero", "subnormal-epsilon"],
+)
+def test_sec6_refuses_a_contrast_that_rounding_erases(args):
+    """Accepted today and then failing its "divergence is strictly positive"
+    contract with exit 2: a config whose contrast is lost to rounding should
+    be refused with exit 1, like p in {0, 1} and epsilon 0."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", "sec6", *args, "--t-max", "1", "--dt", "0.1", "--out", os.devnull]) == 1

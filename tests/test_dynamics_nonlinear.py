@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from oracles import bloch_array, closed_form, eom_rhs, integrate_rk4
 from spinpair.dynamics_nonlinear import (
     EvolutionPolicy,
-    Trajectory,
     evolve_ensemble,
     fixed_rate,
     grid_points,
@@ -156,8 +155,8 @@ class TestTimeGrid:
 
 class TestIntegrateRk4:
     def test_pole_stays_put(self):
-        traj = integrate_rk4(POLE, 1.0, 2.0, 1e-2)
-        np.testing.assert_array_equal(traj.points, np.tile([0.0, 0.0, 1.0], (len(traj), 1)))
+        times, points = integrate_rk4(POLE, 1.0, 2.0, 1e-2)
+        np.testing.assert_array_equal(points, np.tile([0.0, 0.0, 1.0], (times.size, 1)))
 
     @pytest.mark.parametrize(
         "start", [POLE, BlochVector(0.0, 0.0, -1.0), DIAG, mixture_bloch(0.75)]
@@ -166,51 +165,37 @@ class TestIntegrateRk4:
         """The integrator sees only the right-hand side; agreement with the
         rotation kernel that closed_form shares with evolve_ensemble
         validates both."""
-        traj = integrate_rk4(start, 1.0, 10.0, 1e-3)
-        expected = np.array([bloch_array(closed_form(start, 1.0, t)) for t in traj.times])
-        assert np.max(np.abs(traj.points - expected)) < 1e-8
+        times, points = integrate_rk4(start, 1.0, 10.0, 1e-3)
+        expected = np.array([bloch_array(closed_form(start, 1.0, t)) for t in times])
+        assert np.max(np.abs(points - expected)) < 1e-8
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(start=BLOCH_BALL, eps=st.floats(-3.0, 3.0), t_max=st.floats(0.5, 5.0))
     def test_agrees_with_closed_form_anywhere_in_the_ball(self, start, eps, t_max):
         """The same agreement for any start, coupling and horizon."""
-        traj = integrate_rk4(start, eps, t_max, 1e-3)
-        expected = np.array([bloch_array(closed_form(start, eps, t)) for t in traj.times])
-        assert np.max(np.abs(traj.points - expected)) < 1e-8
+        times, points = integrate_rk4(start, eps, t_max, 1e-3)
+        expected = np.array([bloch_array(closed_form(start, eps, t)) for t in times])
+        assert np.max(np.abs(points - expected)) < 1e-8
 
     def test_third_component_never_drifts(self):
         """The third derivative component is the literal constant 0."""
-        traj = integrate_rk4(DIAG, 1.0, 10.0, 1e-3)
-        assert np.max(np.abs(traj.sigma3 - DIAG.s3)) == 0.0
+        _, points = integrate_rk4(DIAG, 1.0, 10.0, 1e-3)
+        assert np.max(np.abs(points[:, 2] - DIAG.s3)) == 0.0
 
     def test_radius_drift_is_tiny(self):
-        traj = integrate_rk4(DIAG, 1.0, 10.0, 1e-3)
-        radii = np.linalg.norm(traj.points, axis=1)
+        _, points = integrate_rk4(DIAG, 1.0, 10.0, 1e-3)
+        radii = np.linalg.norm(points, axis=1)
         assert np.max(np.abs(radii - radii[0])) < 1e-8
 
     def test_grid_contract(self):
-        traj = integrate_rk4(DIAG, 1.0, 1.0, 0.3)
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == 1.0
+        times, points = integrate_rk4(DIAG, 1.0, 1.0, 0.3)
+        assert times[0] == 0.0
+        assert times[-1] == 1.0
+        assert points.shape == (times.size, 3)
 
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             integrate_rk4(DIAG, 1.0, 1.0, -0.1)
-
-
-class TestTrajectory:
-    def test_requires_increasing_times(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.0, 1.0]), np.zeros((3, 3)))
-
-    def test_requires_matching_lengths(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 1.0]), np.zeros((3, 3)))
-
-    def test_component_accessors(self):
-        traj = Trajectory(np.array([0.0, 1.0]), np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]))
-        np.testing.assert_array_equal(traj.sigma2, [0.2, 0.5])
-        assert len(traj) == 2
 
 
 class TestEvolveEnsemble:
@@ -225,7 +210,7 @@ class TestEvolveEnsemble:
             self.make_uncorrelated(p), EvolutionPolicy.AGGREGATE_MEANS, eps, times
         )
         expected = ((2.0 * p - 1.0) / SQRT2) * np.sin(SQRT2 * (2.0 * p - 1.0) * eps * times)
-        assert np.max(np.abs(traj.sigma2 - expected)) < 1e-12
+        assert np.max(np.abs(traj[:, 1] - expected)) < 1e-12
 
     def test_branch_means_over_diagonal_branches(self):
         """Both diagonal branches produce the same full-amplitude waveform,
@@ -235,13 +220,13 @@ class TestEvolveEnsemble:
         ens = correlated_ensemble(0.6, plus, UP, minus, DOWN)
         traj = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times)
         expected = np.sin(SQRT2 * times) / SQRT2
-        assert np.max(np.abs(traj.sigma2 - expected)) < 1e-12
+        assert np.max(np.abs(traj[:, 1] - expected)) < 1e-12
 
     def test_branch_means_over_pole_branches_is_silent(self):
         times = time_grid(5.0, 1e-2)
         ens = correlated_ensemble(0.5, UP, UP, DOWN, DOWN)
         traj = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times)
-        assert np.max(np.abs(traj.sigma2)) == 0.0
+        assert np.max(np.abs(traj[:, 1])) == 0.0
 
     def test_policies_differ_on_balanced_mixture(self):
         """Same ensemble, same reduced density matrix: the aggregate policy is
@@ -250,9 +235,9 @@ class TestEvolveEnsemble:
         ens = self.make_uncorrelated(0.5)
         aggregate = evolve_ensemble(ens, EvolutionPolicy.AGGREGATE_MEANS, 1.0, times)
         branchwise = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times)
-        assert np.max(np.abs(aggregate.sigma2)) < 1e-12
+        assert np.max(np.abs(aggregate[:, 1])) < 1e-12
         expected = np.sin(SQRT2 * times) / SQRT2
-        assert np.max(np.abs(branchwise.sigma2 - expected)) < 1e-12
+        assert np.max(np.abs(branchwise[:, 1] - expected)) < 1e-12
 
     def test_fixed_rate_makes_policies_agree(self):
         """Under a state-independent precession the decomposition is invisible."""
@@ -271,7 +256,7 @@ class TestEvolveEnsemble:
             branchwise = evolve_ensemble(
                 ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times, rate_fn=rate
             )
-            assert np.max(np.abs(aggregate.points - branchwise.points)) < 1e-10
+            assert np.max(np.abs(aggregate - branchwise)) < 1e-10
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(
@@ -297,7 +282,7 @@ class TestEvolveEnsemble:
         policy = EvolutionPolicy.BRANCH_MEANS
         original = evolve_ensemble(Ensemble(tuple(branches)), policy, eps, times)
         permuted = evolve_ensemble(Ensemble(tuple(branches[i] for i in order)), policy, eps, times)
-        assert np.max(np.abs(original.points - permuted.points)) < 1e-12
+        assert np.max(np.abs(original - permuted)) < 1e-12
 
     def test_entangled_branch_rejected_under_branch_means(self):
         ens = Ensemble((Branch(1.0, singlet()),))

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 import oracles
 from spinpair import cli
 from spinpair.cli import RunConfig, emit_report, main
-from spinpair.dynamics_nonlinear import Trajectory
 from spinpair.scenarios import (
     SPECS,
     BasisChoice,
@@ -120,7 +119,7 @@ def assert_matches_the_oracle(report, precision, chunk_rows=CHUNK_ROWS):
 
 @pytest.mark.parametrize(
     "rows, points",
-    # a scenario's grid has at least two points; nested_report has a one-point trajectory
+    # a scenario's grid has at least two points
     [(rows, rows + offset) for rows in CHUNK_ROWS for offset in (-1, 0, 1) if rows + offset >= 2],
 )
 def test_grids_at_a_chunk_boundary_match_the_per_float_route(rows, points):
@@ -132,24 +131,21 @@ def test_grids_at_a_chunk_boundary_match_the_per_float_route(rows, points):
 
 
 def nested_report(narrative_extra=None):
-    """A hand-made report with trajectories in lists, in nested dicts and on
-    three time grids, holding the floats whose spellings differ."""
-    grid = np.array([0.0, 1e-5, 1.0, 1e12])
-    odd = Trajectory(grid, np.array([[0.0, -0.0, 5e-324], [1e-310, 1.0, -1.0],
-                                     [1e15, 1 / 3, 0.1 + 0.2], [2.0**53, -5e-324, 1e16]]))
-    flat = Trajectory(grid, np.full((4, 3), 0.25))
-    other = Trajectory(np.array([0.5]), np.array([[0.5, -0.5, 0.0]]))
-    # the same grid values but one bit: "-0" must not reuse the grid text "0"
-    signed = Trajectory(np.array([-0.0, 1e-5, 1.0, 1e12]), np.full((4, 3), 0.5))
+    """A hand-made report with trajectories in lists and in nested dicts, on
+    one time grid, holding the floats whose spellings differ."""
+    odd = np.array([[0.0, -0.0, 5e-324], [1e-310, 1.0, -1.0],
+                    [1e15, 1 / 3, 0.1 + 0.2], [2.0**53, -5e-324, 1e16]])
+    flat = np.full((4, 3), 0.25)
     narrative = {
         "per_outcome_trajectories": {"outcome0": flat, "outcome1": odd},
-        "deeper": {"list": [other, {"again": flat}], "value": -0.0},
+        "deeper": {"list": [odd, {"again": flat}], "value": -0.0},
         **(narrative_extra or {}),
     }
     return ScenarioReport(
         ScenarioId.ENTANGLEMENT,
         ScenarioConfig(t_max=1, dt=0.5),
-        {"armA": odd, "arm%B": flat, "armC": signed, "armD": other},
+        np.array([0.0, 1e-5, 1.0, 1e12]),
+        {"armA": odd, "arm%B": flat},
         1e-5,
         narrative,
         (ContractCheck("made-up bound", 5e-324, 1e12),),

@@ -23,8 +23,6 @@ EXEMPT = {
     "makes every divergence vanish; no command sets a rate",
     "dynamics_nonlinear.fixed_rate.<locals>.rate": "the rate that fixed_rate returns",
     "measurement.MeasurementBasis.__len__": "perfbench's tracer counts the projectors tried with len(basis)",
-    "dynamics_nonlinear.Trajectory.sigma1": "kept with sigma2, which the contracts read, as the set of components",
-    "dynamics_nonlinear.Trajectory.sigma3": "kept with sigma2, which the contracts read, as the set of components",
 }
 
 SMALL = ["--t-max", "1", "--dt", "0.1"]

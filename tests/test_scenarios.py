@@ -5,6 +5,7 @@ SPECS entry must reproduce them through the ensemble/measurement machinery.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,11 @@ SQRT2 = np.sqrt(2.0)
 
 # Short grid keeps unit tests fast; the acceptance suite runs the defaults.
 FAST = ScenarioConfig(t_max=4.0, dt=1e-3)
+
+# The grid end of the cap run, t_max = 1000 at the default dt, and the
+# largest |epsilon| the angle cap accepts there.
+LONGEST_T_MAX = 1000.0
+LONGEST_EPSILON_CAP = MAX_ANGLE / (2.0 * LONGEST_T_MAX)
 
 # Every entry that contrasts two trajectories, read from the table itself.
 NONLINEAR = [scenario for scenario, spec in SPECS.items() if spec.arms]
@@ -59,6 +65,15 @@ class TestScenarioConfig:
             ScenarioConfig(t_max=-1.0)
         with pytest.raises(ValueError):
             ScenarioConfig(trials=0)
+
+    def test_rejects_a_step_longer_than_the_grid(self):
+        """A step past t_max is refused by the config, with time_grid's
+        message, not later by the run."""
+        assert ScenarioConfig(t_max=1, dt=1).dt == 1.0  # two points: 0 and t_max
+        with pytest.raises(ValueError, match=r"dt \(2\.0\) must not exceed t_max \(1\.0\)"):
+            ScenarioConfig(t_max=1, dt=2)
+        with pytest.raises(ValueError, match="must not exceed t_max"):
+            ScenarioConfig(t_max=1.0, dt=np.nextafter(1.0, 2.0))
 
     @pytest.mark.parametrize("name", ["p", "epsilon", "t_max", "dt"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -121,6 +136,7 @@ class TestLinearBaseline:
         assert report.contracts_ok
         assert report.divergence < 1e-10
         assert report.arms == {}
+        assert report.times is None
 
     def test_deterministic_given_seed(self):
         cfg = ScenarioConfig(trials=50, seed=11)
@@ -133,23 +149,23 @@ class TestLinearBaseline:
 class TestNoCorrelations:
     def test_both_arms_follow_the_mixture_solution(self):
         report = run_scenario(ScenarioId.NO_CORRELATIONS, FAST)
-        times = report.arms["armA"].times
+        times = report.times
         expected = mixture_s2(FAST.p, FAST.epsilon, times)
-        assert np.max(np.abs(report.arms["armA"].sigma2 - expected)) < 1e-8
-        assert np.max(np.abs(report.arms["armB"].sigma2 - expected)) < 1e-8
+        assert np.max(np.abs(report.arms["armA"][:, 1] - expected)) < 1e-8
+        assert np.max(np.abs(report.arms["armB"][:, 1] - expected)) < 1e-8
         assert report.divergence < 1e-10
         assert report.contracts_ok
 
     def test_balanced_mixture_is_silent(self):
         report = run_scenario(ScenarioId.NO_CORRELATIONS, ScenarioConfig(p=0.5, t_max=2.0, dt=1e-2))
         for arm in report.arms.values():
-            assert np.max(np.abs(arm.sigma2)) < 1e-12
+            assert np.max(np.abs(arm[:, 1])) < 1e-12
 
     def test_pure_limit_reaches_full_amplitude(self):
         report = run_scenario(ScenarioId.NO_CORRELATIONS, ScenarioConfig(p=1.0, t_max=2.0, dt=1e-3))
-        times = report.arms["armA"].times
+        times = report.times
         expected = pure_s2(1.0, times)
-        assert np.max(np.abs(report.arms["armA"].sigma2 - expected)) < 1e-8
+        assert np.max(np.abs(report.arms["armA"][:, 1] - expected)) < 1e-8
 
     def test_narrative_records_outcomes(self):
         report = run_scenario(ScenarioId.NO_CORRELATIONS, FAST)
@@ -162,8 +178,8 @@ class TestClassicalCorrelations:
     def test_measured_arm_is_independent_of_p(self, p):
         """armA follows the full-amplitude pure solution whatever p is."""
         report = run_scenario(ScenarioId.CLASSICAL_CORRELATIONS, ScenarioConfig(p=p, t_max=4.0, dt=1e-3))
-        times = report.arms["armA"].times
-        assert np.max(np.abs(report.arms["armA"].sigma2 - pure_s2(1.0, times))) < 1e-8
+        times = report.times
+        assert np.max(np.abs(report.arms["armA"][:, 1] - pure_s2(1.0, times))) < 1e-8
 
     def test_divergence_from_uncorrelated_baseline(self):
         report = run_scenario(ScenarioId.CLASSICAL_CORRELATIONS, FAST)
@@ -174,7 +190,7 @@ class TestClassicalCorrelations:
         report = run_scenario(ScenarioId.CLASSICAL_CORRELATIONS, FAST)
         per = report.narrative["per_outcome_trajectories"]
         assert set(per) == {"outcome0", "outcome1"}
-        assert np.max(np.abs(per["outcome0"].sigma2 - per["outcome1"].sigma2)) < 1e-12
+        assert np.max(np.abs(per["outcome0"][:, 1] - per["outcome1"][:, 1])) < 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_degenerate_weight_rejected(self, p):
@@ -186,7 +202,7 @@ class TestClassicalCorrelations:
         p = 1: collapsing onto one branch is the pure-state limit."""
         measured = run_scenario(ScenarioId.CLASSICAL_CORRELATIONS, FAST)
         pure_limit = run_scenario(ScenarioId.NO_CORRELATIONS, ScenarioConfig(p=1.0, t_max=4.0, dt=1e-3))
-        gap = np.max(np.abs(measured.arms["armA"].sigma2 - pure_limit.arms["armA"].sigma2))
+        gap = np.max(np.abs(measured.arms["armA"][:, 1] - pure_limit.arms["armA"][:, 1]))
         assert gap < 1e-8
 
 
@@ -194,9 +210,9 @@ class TestChangedCorrelations:
     def test_contracts_hold(self):
         report = run_scenario(ScenarioId.CHANGED_CORRELATIONS, FAST)
         assert report.contracts_ok
-        times = report.arms["armA"].times
-        assert np.max(np.abs(report.arms["armA"].sigma2)) < 1e-10
-        assert np.max(np.abs(report.arms["armB"].sigma2 - pure_s2(1.0, times))) < 1e-8
+        times = report.times
+        assert np.max(np.abs(report.arms["armA"][:, 1])) < 1e-10
+        assert np.max(np.abs(report.arms["armB"][:, 1] - pure_s2(1.0, times))) < 1e-8
 
     def test_preparations_share_the_reduced_state(self):
         report = run_scenario(ScenarioId.CHANGED_CORRELATIONS, FAST)
@@ -213,9 +229,9 @@ class TestEntanglement:
     def test_contracts_hold(self):
         report = run_scenario(ScenarioId.ENTANGLEMENT, FAST)
         assert report.contracts_ok
-        times = report.arms["armA"].times
-        assert np.max(np.abs(report.arms["armA"].sigma2)) < 1e-10
-        assert np.max(np.abs(report.arms["armB"].sigma2 - pure_s2(1.0, times))) < 1e-8
+        times = report.times
+        assert np.max(np.abs(report.arms["armA"][:, 1])) < 1e-10
+        assert np.max(np.abs(report.arms["armB"][:, 1] - pure_s2(1.0, times))) < 1e-8
 
     def test_outcome_probabilities_are_half(self):
         report = run_scenario(ScenarioId.ENTANGLEMENT, FAST)
@@ -241,7 +257,7 @@ class TestEntanglement:
         trajectories coincide."""
         entangled = run_scenario(ScenarioId.ENTANGLEMENT, FAST)
         classical = run_scenario(ScenarioId.CHANGED_CORRELATIONS, FAST)
-        gap = np.max(np.abs(entangled.arms["armB"].sigma2 - classical.arms["armB"].sigma2))
+        gap = np.max(np.abs(entangled.arms["armB"][:, 1] - classical.arms["armB"][:, 1]))
         assert gap < 1e-8
 
 
@@ -249,10 +265,19 @@ class TestSpecTable:
     """Properties of every nonlinear SPECS entry over random off-default configs."""
 
     @pytest.mark.parametrize("scenario", NONLINEAR, ids=NONLINEAR_IDS)
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(p=st.floats(0.05, 0.95), epsilon=st.floats(0.25, 4.0))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        p=st.floats(0.05, 0.95),
+        # either sign, up to the largest |epsilon| the angle cap allows at t_max
+        epsilon=st.one_of(st.floats(0.25, LONGEST_EPSILON_CAP), st.floats(-LONGEST_EPSILON_CAP, -0.25)),
+    )
+    @example(p=0.75, epsilon=LONGEST_EPSILON_CAP)
+    @example(p=0.05, epsilon=-LONGEST_EPSILON_CAP)
     def test_contracts_hold(self, scenario, p, epsilon):
-        report = run_scenario(scenario, ScenarioConfig(p=p, epsilon=epsilon, t_max=2.0, dt=1e-2))
+        """At the longest grid the cap allows, on a coarse step (1,001 points),
+        the contracts hold up to the angle cap: no rounding reaches a bound."""
+        cfg = ScenarioConfig(p=p, epsilon=epsilon, t_max=LONGEST_T_MAX, dt=1.0)
+        report = run_scenario(scenario, cfg)
         assert report.checks
         assert report.contracts_ok, [check for check in report.checks if not check.passed]
 
@@ -285,6 +310,23 @@ class TestRunScenario:
         for scenario in NONLINEAR:
             report = run_scenario(scenario, cfg)
             grid = time_grid(cfg.t_max, cfg.dt)
+            np.testing.assert_array_equal(report.times, grid)
             for arm in report.arms.values():
-                np.testing.assert_array_equal(arm.times, grid)
+                assert arm.shape == (grid.size, 3)
             assert report.divergence >= 0.0
+
+    def test_a_report_retains_one_grid(self):
+        """The time grid is stored once per report: a sec8 run keeps the grid
+        and six point arrays (two arms, two outcomes per arm), 8 + 6 * 24
+        bytes per grid point, and little else."""
+        cfg = ScenarioConfig(t_max=100.0)
+        points = time_grid(cfg.t_max, cfg.dt).size
+        tracemalloc.start()
+        try:
+            report = run_scenario(ScenarioId.ENTANGLEMENT, cfg)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= (8 + 6 * 24) * points + 2**20
+        stored = [report.times, *report.arms.values(), *report.narrative["per_outcome_trajectories"].values()]
+        assert sum(array.nbytes for array in stored) == (8 + 6 * 24) * points
