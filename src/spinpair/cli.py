@@ -141,11 +141,9 @@ def parse_args(argv) -> RunConfig:
 def _float_texts(column, precision: int, as_json: bool = False) -> list[str]:
     """The `%.{precision}g` text of each value of a 1-d float array; as JSON,
     spelled the way json writes float(text). A column whose entries share
-    one bit pattern (finite floats that are equal and of one sign) is
-    formatted once."""
-    first = column[:1]
-    if len(column) > 1 and np.all(column == first) and np.all(np.signbit(column) == np.signbit(first)):
-        return _float_texts(first, precision, as_json) * len(column)
+    one bit pattern is formatted once."""
+    if len(column) > 1 and _one_bit_pattern(column):
+        return _float_texts(column[:1], precision, as_json) * len(column)
     values = column.tolist()
     if as_json and precision == 17:  # '%.17g' always reads back to x itself
         return list(map(repr, values))
@@ -164,6 +162,16 @@ def _float_texts(column, precision: int, as_json: bool = False) -> list[str]:
             if "." not in texts[i] or "e" in texts[i]:
                 texts[i] = _json_spelling(texts[i])
     return texts
+
+
+def _one_bit_pattern(column) -> bool:
+    """Whether every entry has the bits of the first: equal values (a NaN
+    never is) of one sign, which only zeros can differ in. The last entry is
+    tried first, which rules out most columns at once."""
+    first = column[0]
+    if column[-1] != first or not (column == first).all():
+        return False
+    return first != 0.0 or bool((np.signbit(column) == np.signbit(first)).all())
 
 
 def _repr16(x: float) -> str:

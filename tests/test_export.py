@@ -58,6 +58,8 @@ FLOATS = st.one_of(
 @example(values=[0.0, -0.0, 1e12, 1e15, 1e16], precision=12)
 @example(values=[0.0, -0.0], precision=12)  # equal values, two bit patterns
 @example(values=[-0.0, -0.0, -0.0], precision=12)
+@example(values=[-0.0, 0.0, -0.0], precision=12)  # ends agree, the middle's sign does not
+@example(values=[1.0, 2.0, 1.0], precision=12)  # ends agree, the middle's value does not
 @example(values=[5e-324] * 3, precision=15)
 @example(values=[1e15] * 2, precision=12)
 @example(values=[2.0**-1016] * 2, precision=16)
