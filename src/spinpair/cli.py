@@ -3,6 +3,11 @@
 Exit codes: 0 when every scenario contract holds, 2 when a contract check
 fails, 1 on usage or I/O errors. Output is deterministic: identical
 invocations produce byte-identical files.
+
+A report holds one time grid, `report.times`, and every trajectory as an
+`(n, 3)` points array on it. CSV renders the grid's text once for all arms;
+JSON writes the grid next to each trajectory's points and renders its text
+once per indent.
 """
 
 from __future__ import annotations

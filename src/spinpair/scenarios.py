@@ -22,7 +22,8 @@ randomized linear-theory suite, and its divergence is the suite's worst
 deviation.
 
 All clocks start at the measurement where one occurs: a scenario's time
-zero is the moment the post-measurement state is in hand.
+zero, the first point of its one grid, is the moment the post-measurement
+state is in hand.
 
 Passing rate_fn=fixed_rate(omega) to a nonlinear run replaces the
 state-dependent precession with a state-independent one; every divergence

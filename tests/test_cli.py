@@ -299,7 +299,7 @@ def refusal_expected(scenario, p, epsilon, t_max, dt):
 SIGNED = st.floats(1e-3, 4e6).flatmap(lambda x: st.sampled_from([x, -x]))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     scenario=st.sampled_from(["sec5", "sec6", "sec7", "sec8"]),
     p=st.one_of(st.floats(0.05, 0.95), st.sampled_from([0.0, 1.0, -0.25, 1.25])),
