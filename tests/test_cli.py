@@ -286,9 +286,12 @@ class TestMain:
                 assert len(mantissa.lstrip("0")) <= 6
 
 
-def refusal_expected(scenario, p, epsilon, t_max, dt):
+def refusal_expected(scenario, p, epsilon, t_max, dt, precision):
     """Whether a command line with these values must end in exit 1: the
-    refusal rules, written out apart from ScenarioConfig and run_scenario."""
+    refusal rules, written out apart from the parser, ScenarioConfig and
+    run_scenario."""
+    if not 6 <= precision <= 17:
+        return True
     if not 0.0 <= p <= 1.0 or t_max <= 0.0 or dt <= 0.0 or dt > t_max:
         return True
     if 2.0 * abs(epsilon) * t_max > MAX_ANGLE:
@@ -308,10 +311,13 @@ SIGNED = st.floats(1e-3, 4e6).flatmap(lambda x: st.sampled_from([x, -x]))
     dt=st.one_of(st.floats(0.01, 1.0), st.sampled_from([0.0, -0.1, 2.5])),
     basis=st.sampled_from([b.value for b in BasisChoice]),
     fmt=st.sampled_from(["csv", "json"]),
-    precision=st.integers(6, 17),
+    precision=st.one_of(st.integers(6, 17), st.sampled_from([5, 18])),
 )
 @example("sec5", 0.75, 1.0, 1.0, 2.0, "updown", "csv", 12)  # dt past t_max
 @example("sec6", 0.5, -(2.0**22), 2.0, 0.5, "diag", "json", 17)  # at the angle cap
+@example("sec6", 0.75, -0.0, 1.0, 0.1, "updown", "csv", 12)  # no precession, no contrast
+@example("sec6", 1.0, 1.0, 1.0, 0.1, "updown", "json", 12)  # no mixture, no contrast
+@example("sec7", 1.0, 0.0, 1.0, 0.1, "updown", "csv", 12)  # p and epsilon 0 are fine elsewhere
 def test_every_small_config_exits_zero_or_is_refused(scenario, p, epsilon, t_max, dt, basis, fmt, precision):
     """Through main, an accepted config writes its report and exits 0; a
     refused one exits 1 with a one-line message and leaves no file, not
@@ -324,7 +330,7 @@ def test_every_small_config_exits_zero_or_is_refused(scenario, p, epsilon, t_max
         path = os.path.join(folder, f"report.{fmt}")
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = main([*argv, "--out", path])
-        if refusal_expected(scenario, p, epsilon, t_max, dt):
+        if refusal_expected(scenario, p, epsilon, t_max, dt, precision):
             assert code == 1
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
             assert os.listdir(folder) == []
