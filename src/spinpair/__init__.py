@@ -5,8 +5,6 @@ from .dynamics_linear import NoSignallingReport, no_signalling_suite
 from .dynamics_nonlinear import (
     EvolutionPolicy,
     evolve_ensemble,
-    fixed_rate,
-    mean_field_rate,
     time_grid,
 )
 from .measurement import (

@@ -12,7 +12,10 @@ with NotProductError.
 Every trajectory is the closed-form solution: s3 stays constant and
 (s1, s2) rotate by the angle (rate * t), computed by _rotation_points. A
 trajectory is a plain `(n, 3)` array of Bloch vectors, one row per point of
-the time grid it was evaluated on; the grid itself is the caller's. The
+the time grid it was evaluated on; the grid itself is the caller's. Its
+linearity control rotates the same Bloch vectors at the state-independent
+rate 2*epsilon, under which evolution is linear in the state: any two
+ensembles with one reduced density matrix then give the same control. The
 equations of motion, a single-point closed form on that same kernel and an
 independent Runge-Kutta integrator of the equations are test oracles in
 tests/oracles.py; the integrator never sees the closed form, and the two
@@ -23,13 +26,10 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable
 
 import numpy as np
 
 from .states import BlochVector, Ensemble, branch_bloch, reduced_bloch
-
-RateFn = Callable[[BlochVector], float]
 
 
 class EvolutionPolicy(enum.Enum):
@@ -37,26 +37,6 @@ class EvolutionPolicy(enum.Enum):
 
     AGGREGATE_MEANS = "aggregate-means"
     BRANCH_MEANS = "branch-means"
-
-
-def mean_field_rate(epsilon: float) -> RateFn:
-    """Precession frequency set by the state itself: 2 * epsilon * s3."""
-    eps = float(epsilon)
-
-    def rate(b: BlochVector) -> float:
-        return 2.0 * eps * b.s3
-
-    return rate
-
-
-def fixed_rate(omega: float) -> RateFn:
-    """State-independent precession frequency: the linear contrast case."""
-    w = float(omega)
-
-    def rate(_: BlochVector) -> float:
-        return w
-
-    return rate
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
@@ -95,36 +75,34 @@ def _rotation_points(b0: BlochVector, omega: float, times: np.ndarray) -> np.nda
 
 
 def evolve_ensemble(
-    ensemble: Ensemble,
-    policy: EvolutionPolicy,
-    epsilon: float,
-    times,
-    rate_fn: RateFn | None = None,
-) -> np.ndarray:
-    """Bloch trajectory of the system spin under the chosen evolution policy:
-    the `(len(times), 3)` array of its Bloch vector at each time.
+    ensemble: Ensemble, policy: EvolutionPolicy, epsilon: float, times
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch trajectory of the system spin under the chosen evolution policy,
+    and its linearity control: two `(len(times), 3)` arrays of Bloch vectors,
+    one row per time.
 
     AGGREGATE_MEANS evolves the ensemble's reduced Bloch vector as one
     initial condition. BRANCH_MEANS evolves every branch's own Bloch vector
     and weight-averages the results at each time; it requires every branch
     to be a product state.
 
-    rate_fn overrides the precession law; passing fixed_rate(omega) restores
-    a state-independent (linear) precession under which the two policies
-    cannot be told apart.
+    The trajectory rotates each vector at its own rate 2 * epsilon * s3; the
+    control rotates the same vectors at the fixed rate 2 * epsilon, under
+    which the two policies cannot be told apart.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("time grid must not be empty")
-    rate = rate_fn if rate_fn is not None else mean_field_rate(epsilon)
+    eps = float(epsilon)
     if policy is EvolutionPolicy.AGGREGATE_MEANS:
         b0 = reduced_bloch(ensemble)
-        points = _rotation_points(b0, rate(b0), times)
-    elif policy is EvolutionPolicy.BRANCH_MEANS:
-        points = np.zeros((times.size, 3))
-        for branch in ensemble.branches:
-            b = branch_bloch(branch)
-            points += branch.weight * _rotation_points(b, rate(b), times)
-    else:
+        return _rotation_points(b0, 2.0 * eps * b0.s3, times), _rotation_points(b0, 2.0 * eps, times)
+    if policy is not EvolutionPolicy.BRANCH_MEANS:
         raise ValueError(f"unknown evolution policy {policy!r}")
-    return points
+    points = np.zeros((times.size, 3))
+    control = np.zeros((times.size, 3))
+    for branch in ensemble.branches:
+        b = branch_bloch(branch)
+        points += branch.weight * _rotation_points(b, 2.0 * eps * b.s3, times)
+        control += branch.weight * _rotation_points(b, 2.0 * eps, times)
+    return points, control

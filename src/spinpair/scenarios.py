@@ -12,8 +12,8 @@ evolves the preparation directly. Each run returns a ScenarioReport with:
   grid points;
 * divergence: the largest gap in the second Bloch component between arms,
   which is where every contrast in this package shows up;
-* checks: the entry's contract assertions, which the command line turns
-  into exit codes;
+* checks: the entry's contract assertions, then the linear control, which
+  the command line turns into exit codes;
 * narrative: probabilities, branch listings, per-outcome trajectories and
   non-contractual metrics.
 
@@ -25,11 +25,11 @@ All clocks start at the measurement where one occurs: a scenario's time
 zero, the first point of its one grid, is the moment the post-measurement
 state is in hand.
 
-Passing rate_fn=fixed_rate(omega) to a nonlinear run replaces the
-state-dependent precession with a state-independent one; every divergence
-then collapses to zero, which pins the contrasts on the nonlinearity and
-nothing else. Contract checks are suspended under such an override since
-they encode the state-dependent solutions.
+Every run with arms also checks the linear control: each arm is evolved a
+second time, from the same Bloch vectors, at the state-independent rate
+2 * epsilon, and the two arms must then agree to 1e-10. That pins each
+contrast on the state-dependent rate and nothing else. The control is
+accumulated like the arm it belongs to and is not kept in the report.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import numpy as np
 from .dynamics_linear import no_signalling_suite
 from .dynamics_nonlinear import (
     EvolutionPolicy,
-    RateFn,
     evolve_ensemble,
     grid_points,
     time_grid,
@@ -72,6 +71,11 @@ MAX_TRIALS = 1_000_000
 # carries that difference into the 1e-8 checks; at 2**24 it uses about a
 # third of their bound.
 MAX_ANGLE = 2.0**24
+# Smallest sec6 contrast, amplitude 1 - (2p - 1)**2 times the largest angle
+# capped at 1 rad. Rounding left the arms identical (divergence 0) only at
+# products up to 2.2e-16 in sweeps over log-spread p and angles; the bound
+# sits over 4000 times higher and still far below the 1e-8 checks.
+MIN_CONTRAST = 1e-12
 
 
 class ScenarioId(enum.Enum):
@@ -92,7 +96,7 @@ class BasisChoice(enum.Enum):
 
 
 class DegenerateConfigError(ValueError):
-    """The configuration collapses the scenario's contrast (p in {0, 1} or epsilon 0)."""
+    """The configuration leaves the scenario no contrast above MIN_CONTRAST."""
 
 
 def _is_int(value) -> bool:
@@ -245,6 +249,11 @@ def _max_abs(values) -> float:
     return float(np.max(np.abs(values)))
 
 
+def _max_distance(points_a: np.ndarray, points_b: np.ndarray) -> float:
+    """Largest Euclidean distance between two trajectories' Bloch vectors."""
+    return float(np.max(np.linalg.norm(points_a - points_b, axis=1)))
+
+
 def _describe_ensemble(ensemble: Ensemble) -> list[dict]:
     return [
         {
@@ -283,7 +292,7 @@ class ScenarioSpec:
     arms: tuple[Arm, ...]
     checks: Callable[..., tuple[ContractCheck, ...]]
     extras: Callable[[ScenarioConfig, tuple[Ensemble, ...]], dict]
-    needs_contrast: bool = False  # p in {0, 1} leaves a single branch, epsilon 0 no precession
+    needs_contrast: bool = False  # refuse configs with no contrast above MIN_CONTRAST
 
 
 # The linear suite's three gaps; the largest is its divergence.
@@ -433,24 +442,32 @@ SPECS: dict[ScenarioId, ScenarioSpec] = {
 }
 
 
-def run_scenario(
-    scenario: ScenarioId, cfg: ScenarioConfig, rate_fn: RateFn | None = None
-) -> ScenarioReport:
-    """Run the contrast SPECS[scenario] at cfg.
-
-    With one measured arm the narrative's outcomes and per-outcome
-    trajectories are flat; with two they are keyed by arm. The linear suite
-    has no precession, so rate_fn does not apply to it.
-    """
-    spec = SPECS[scenario]
-    if spec.needs_contrast and cfg.p in (0.0, 1.0):
+def _refuse_without_contrast(cfg: ScenarioConfig) -> None:
+    if cfg.p in (0.0, 1.0):
         raise DegenerateConfigError(
             "p in {0, 1} leaves a single branch; the contrast needs a genuine mixture"
         )
-    if spec.needs_contrast and cfg.epsilon == 0.0:
+    if cfg.epsilon == 0.0:
         raise DegenerateConfigError(
             "epsilon 0 stops the precession; the contrast needs a nonzero epsilon"
         )
+    contrast = (1.0 - (2.0 * cfg.p - 1.0) ** 2) * min(1.0, 2.0 * abs(cfg.epsilon) * cfg.t_max)
+    if contrast <= MIN_CONTRAST:
+        raise DegenerateConfigError(
+            f"contrast (1 - (2p - 1)**2) * min(1, 2 * |epsilon| * t_max) = {contrast!r} "
+            f"is at most {MIN_CONTRAST!r}; rounding would erase it"
+        )
+
+
+def run_scenario(scenario: ScenarioId, cfg: ScenarioConfig) -> ScenarioReport:
+    """Run the contrast SPECS[scenario] at cfg.
+
+    With one measured arm the narrative's outcomes and per-outcome
+    trajectories are flat; with two they are keyed by arm.
+    """
+    spec = SPECS[scenario]
+    if spec.needs_contrast:
+        _refuse_without_contrast(cfg)
     # arms that share a preparation share one ensemble instead of building it twice
     made = {prepare: prepare(cfg) for prepare in dict.fromkeys(arm.prepare for arm in spec.arms)}
     preps = tuple(made[arm.prepare] for arm in spec.arms)
@@ -462,17 +479,19 @@ def run_scenario(
         return ScenarioReport(scenario, cfg, None, {}, divergence, narrative, checks)
 
     times = time_grid(cfg.t_max, cfg.dt)
-    arms, outcomes, per_outcome = {}, {}, {}
+    arms, controls, outcomes, per_outcome = {}, {}, {}, {}
     for key, arm, prepared in zip(ARM_KEYS, spec.arms, preps):
         if arm.basis is None:
-            arms[key] = evolve_ensemble(prepared, arm.policy, cfg.epsilon, times, rate_fn=rate_fn)
+            arms[key], controls[key] = evolve_ensemble(prepared, arm.policy, cfg.epsilon, times)
             continue
         points = np.zeros((times.size, 3))
+        control = np.zeros((times.size, 3))
         outcomes[key] = []
         for outcome in measure_all(prepared, arm.basis()):
             post = outcome.post_state
-            traj = evolve_ensemble(post, arm.policy, cfg.epsilon, times, rate_fn=rate_fn)
+            traj, fixed = evolve_ensemble(post, arm.policy, cfg.epsilon, times)
             points += outcome.probability * traj
+            control += outcome.probability * fixed
             per_outcome[f"{key}/outcome{outcome.outcome_index}"] = traj
             outcomes[key].append(
                 {
@@ -481,7 +500,7 @@ def run_scenario(
                     "post_branches": _describe_ensemble(post),
                 }
             )
-        arms[key] = points
+        arms[key], controls[key] = points, control
     if len(outcomes) == 1:  # a single measured arm needs no arm prefix
         (outcomes,) = outcomes.values()
         per_outcome = {name.partition("/")[2]: traj for name, traj in per_outcome.items()}
@@ -489,7 +508,10 @@ def run_scenario(
     arm_a, arm_b = arms["armA"], arms["armB"]
     divergence = _max_abs(arm_a[:, 1] - arm_b[:, 1])
     extras = spec.extras(cfg, preps)
-    checks = spec.checks(cfg, times, arm_a, arm_b, divergence, extras) if rate_fn is None else ()
+    checks = (
+        *spec.checks(cfg, times, arm_a, arm_b, divergence, extras),
+        ContractCheck("linear control", _max_distance(controls["armA"], controls["armB"]), 1e-10),
+    )
     narrative = {
         "description": spec.description,
         "arms": {key: arm.label for key, arm in zip(ARM_KEYS, spec.arms)},
@@ -497,7 +519,6 @@ def run_scenario(
         **extras,
         "outcomes": outcomes,
         "per_outcome_trajectories": per_outcome,
-        "bloch_divergence": float(np.max(np.linalg.norm(arm_a - arm_b, axis=1))),
-        "rate_override": rate_fn is not None,
+        "bloch_divergence": _max_distance(arm_a, arm_b),
     }
     return ScenarioReport(scenario, cfg, times, arms, divergence, narrative, checks)

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from spinpair.dynamics_nonlinear import _rotation_points, mean_field_rate, time_grid
+from spinpair.dynamics_nonlinear import _rotation_points, time_grid
 from spinpair.measurement import OutcomeBranch, _collapse
 from spinpair.qmath import ATOL, IDENTITY_2, checked, mean_value
 from spinpair.scenarios import ScenarioReport
@@ -244,7 +244,7 @@ def closed_form(b0, epsilon: float, t: float) -> BlochVector:
     """Exact solution: s3 constant, (s1, s2) rotated by the angle 2*eps*s3*t,
     evaluated by the same rotation kernel as evolve_ensemble."""
     b0 = _as_bloch(b0)
-    return BlochVector(*_rotation_points(b0, mean_field_rate(epsilon)(b0), np.array([t]))[0])
+    return BlochVector(*_rotation_points(b0, 2.0 * epsilon * b0.s3, np.array([t]))[0])
 
 
 def integrate_rk4(b0, epsilon: float, t_max: float, dt: float) -> tuple[np.ndarray, np.ndarray]:

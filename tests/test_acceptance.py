@@ -5,6 +5,7 @@ shows them on failure regardless). Criteria run at the default configuration:
 p = 3/4, epsilon = 1, t_max = 10, dt = 1e-3, seed 42, 1000 trials.
 """
 
+import json
 import time
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 
 from oracles import bloch_array, closed_form, integrate_rk4
 from spinpair.cli import main
-from spinpair.dynamics_nonlinear import BlochVector, fixed_rate
 from spinpair.scenarios import BasisChoice, ScenarioConfig, ScenarioId, run_scenario
+from spinpair.states import BlochVector
 
 SQRT2 = np.sqrt(2.0)
 DEFAULTS = ScenarioConfig()
@@ -38,8 +39,6 @@ def test_criterion_1_linear_no_influence(tmp_path, capsys):
     start = time.perf_counter()
     code = main(["verify-linear", "--trials", "1000", "--seed", "42", "--out", str(out)])
     elapsed = time.perf_counter() - start
-    import json
-
     deviation = json.loads(out.read_text())["divergence"]
     ok = code == 0 and elapsed < 5.0 and deviation < 1e-10
     report(
@@ -152,22 +151,19 @@ def test_criterion_6_entanglement_reproduction():
     )
 
 
-def test_criterion_7_linearity_restoration():
+def test_criterion_7_linearity_restoration(tmp_path):
     """A state-independent precession in place of the mean-value law drives
-    every scenario divergence below 1e-10."""
-    scenarios = (
-        ScenarioId.NO_CORRELATIONS,
-        ScenarioId.CLASSICAL_CORRELATIONS,
-        ScenarioId.CHANGED_CORRELATIONS,
-        ScenarioId.ENTANGLEMENT,
-    )
-    divergences = {
-        scenario.value: run_scenario(scenario, DEFAULTS, rate_fn=fixed_rate(0.8)).divergence
-        for scenario in scenarios
-    }
-    worst = max(divergences.values())
-    ok = worst < 1e-10
-    report(7, "linearity restoration", ok, f"worst divergence {worst:.3e}")
+    every scenario divergence below 1e-10: the `linear control` check of each
+    JSON export, sec8 under both bases."""
+    controls = {}
+    for args in (["sec5"], ["sec6"], ["sec7"], ["sec8"], ["sec8", "--basis", "diag"]):
+        out = tmp_path / "report.json"
+        code = main(["run", *args, "--format", "json", "--out", str(out)])
+        (control,) = (c for c in json.loads(out.read_text())["checks"] if c["name"] == "linear control")
+        controls[" ".join(args)] = (code, control["passed"], control["value"])
+    worst = max(value for _, _, value in controls.values())
+    ok = all(code == 0 and passed for code, passed, _ in controls.values()) and worst < 1e-10
+    report(7, "linearity restoration", ok, f"worst control divergence {worst:.3e}")
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from spinpair import cli
 from spinpair.cli import RunConfig, UsageError, emit_report, main, parse_args
 from spinpair.scenarios import (
     MAX_ANGLE,
+    MIN_CONTRAST,
     BasisChoice,
     ContractCheck,
     ScenarioConfig,
@@ -182,7 +183,7 @@ class TestMain:
         assert code == 0
         doc = json.loads(path.read_text())
         assert doc["divergence"] < 1e-10
-        assert doc["narrative"]["rate_override"] is False
+        assert doc["checks"][-1]["name"] == "linear control" and doc["checks"][-1]["passed"] is True
 
     def test_usage_error_exit_one(self, capsys):
         assert main(["run", "sec6", "--p", "1.5"]) == 1
@@ -296,16 +297,19 @@ def refusal_expected(scenario, p, epsilon, t_max, dt, precision):
         return True
     if 2.0 * abs(epsilon) * t_max > MAX_ANGLE:
         return True
-    return scenario == "sec6" and (p in (0.0, 1.0) or epsilon == 0.0)
+    # sec6 needs a contrast that rounding cannot erase: a mixture and a precession
+    contrast = (1.0 - (2.0 * p - 1.0) ** 2) * min(1.0, 2.0 * abs(epsilon) * t_max)
+    return scenario == "sec6" and contrast <= MIN_CONTRAST
 
 
-SIGNED = st.floats(1e-3, 4e6).flatmap(lambda x: st.sampled_from([x, -x]))
+# |epsilon| from the smallest subnormal up, either sign
+SIGNED = st.one_of(st.floats(5e-324, 1e-3), st.floats(1e-3, 4e6)).flatmap(lambda x: st.sampled_from([x, -x]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     scenario=st.sampled_from(["sec5", "sec6", "sec7", "sec8"]),
-    p=st.one_of(st.floats(0.05, 0.95), st.sampled_from([0.0, 1.0, -0.25, 1.25])),
+    p=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.sampled_from([0.0, 1.0, -0.25, 1.25])),
     epsilon=st.one_of(SIGNED, st.sampled_from([0.0, -0.0, 5e6, -5e6])),
     t_max=st.one_of(st.floats(0.01, 2.0), st.sampled_from([0.0, -1.0])),
     dt=st.one_of(st.floats(0.01, 1.0), st.sampled_from([0.0, -0.1, 2.5])),
@@ -318,6 +322,7 @@ SIGNED = st.floats(1e-3, 4e6).flatmap(lambda x: st.sampled_from([x, -x]))
 @example("sec6", 0.75, -0.0, 1.0, 0.1, "updown", "csv", 12)  # no precession, no contrast
 @example("sec6", 1.0, 1.0, 1.0, 0.1, "updown", "json", 12)  # no mixture, no contrast
 @example("sec7", 1.0, 0.0, 1.0, 0.1, "updown", "csv", 12)  # p and epsilon 0 are fine elsewhere
+@example("sec8", 0.5, -5e-324, 1.0, 0.1, "diag", "json", 17)  # a subnormal epsilon is fine elsewhere
 def test_every_small_config_exits_zero_or_is_refused(scenario, p, epsilon, t_max, dt, basis, fmt, precision):
     """Through main, an accepted config writes its report and exits 0; a
     refused one exits 1 with a one-line message and leaves no file, not
@@ -340,18 +345,23 @@ def test_every_small_config_exits_zero_or_is_refused(scenario, p, epsilon, t_max
             assert os.listdir(folder) == [f"report.{fmt}"]
 
 
-@pytest.mark.xfail(strict=True, reason="rounding erases the sec6 contrast; see ROADMAP item 2")
 @pytest.mark.parametrize(
     "args",
     [
-        ["--p", "1e-17"],  # 2p - 1 rounds to -1: both arms start from one Bloch vector
-        ["--p", "0.5", "--epsilon", "5e-324"],  # every precession angle underflows
+        ["--p", "1e-17", "--t-max", "1", "--dt", "0.1"],
+        ["--p", "0.5", "--epsilon", "5e-324", "--t-max", "1", "--dt", "0.1"],
+        [
+            "--p", "0.9999999999999999", "--epsilon", "-9.949794061113311e-08",
+            "--t-max", "0.016025941075185724", "--dt", "0.008012970537592862",
+        ],
     ],
-    ids=["p-within-rounding-of-zero", "subnormal-epsilon"],
+    # 2p - 1 rounds to -1, so both arms start from one Bloch vector; every
+    # precession angle underflows; the arms differ by less than their rounding
+    ids=["p-within-rounding-of-zero", "subnormal-epsilon", "arms-within-rounding"],
 )
-def test_sec6_refuses_a_contrast_that_rounding_erases(args):
-    """Accepted today and then failing its "divergence is strictly positive"
-    contract with exit 2: a config whose contrast is lost to rounding should
-    be refused with exit 1, like p in {0, 1} and epsilon 0."""
-    with contextlib.redirect_stderr(io.StringIO()):
-        assert main(["run", "sec6", *args, "--t-max", "1", "--dt", "0.1", "--out", os.devnull]) == 1
+def test_sec6_refuses_a_contrast_that_rounding_erases(args, capsys):
+    """A config whose contrast is lost to rounding would fail its "divergence
+    is strictly positive" contract with exit 2; it is refused with exit 1,
+    like p in {0, 1} and epsilon 0."""
+    assert main(["run", "sec6", *args, "--out", os.devnull]) == 1
+    assert "rounding would erase it" in capsys.readouterr().err

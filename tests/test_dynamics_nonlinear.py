@@ -5,6 +5,8 @@ only the right-hand side; expected waveforms are written out locally where a
 test asserts them.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,9 +16,7 @@ from oracles import bloch_array, closed_form, eom_rhs, integrate_rk4
 from spinpair.dynamics_nonlinear import (
     EvolutionPolicy,
     evolve_ensemble,
-    fixed_rate,
     grid_points,
-    mean_field_rate,
     time_grid,
 )
 from spinpair.states import (
@@ -206,7 +206,7 @@ class TestEvolveEnsemble:
     def test_aggregate_mixture_waveform(self):
         p, eps = 0.75, 1.0
         times = time_grid(10.0, 1e-3)
-        traj = evolve_ensemble(
+        traj, _ = evolve_ensemble(
             self.make_uncorrelated(p), EvolutionPolicy.AGGREGATE_MEANS, eps, times
         )
         expected = ((2.0 * p - 1.0) / SQRT2) * np.sin(SQRT2 * (2.0 * p - 1.0) * eps * times)
@@ -218,14 +218,14 @@ class TestEvolveEnsemble:
         plus, minus = diag_eigenstates()
         times = time_grid(5.0, 1e-3)
         ens = correlated_ensemble(0.6, plus, UP, minus, DOWN)
-        traj = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times)
+        traj, _ = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times)
         expected = np.sin(SQRT2 * times) / SQRT2
         assert np.max(np.abs(traj[:, 1] - expected)) < 1e-12
 
     def test_branch_means_over_pole_branches_is_silent(self):
         times = time_grid(5.0, 1e-2)
         ens = correlated_ensemble(0.5, UP, UP, DOWN, DOWN)
-        traj = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times)
+        traj, _ = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times)
         assert np.max(np.abs(traj[:, 1])) == 0.0
 
     def test_policies_differ_on_balanced_mixture(self):
@@ -233,14 +233,15 @@ class TestEvolveEnsemble:
         silent, the branch policy oscillates at full amplitude."""
         times = time_grid(5.0, 1e-3)
         ens = self.make_uncorrelated(0.5)
-        aggregate = evolve_ensemble(ens, EvolutionPolicy.AGGREGATE_MEANS, 1.0, times)
-        branchwise = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times)
+        aggregate, _ = evolve_ensemble(ens, EvolutionPolicy.AGGREGATE_MEANS, 1.0, times)
+        branchwise, _ = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times)
         assert np.max(np.abs(aggregate[:, 1])) < 1e-12
         expected = np.sin(SQRT2 * times) / SQRT2
         assert np.max(np.abs(branchwise[:, 1] - expected)) < 1e-12
 
-    def test_fixed_rate_makes_policies_agree(self):
-        """Under a state-independent precession the decomposition is invisible."""
+    def test_control_makes_policies_agree(self):
+        """The control rotates at the state-independent rate 2 * eps, under
+        which the decomposition is invisible."""
         plus, minus = diag_eigenstates()
         times = time_grid(5.0, 1e-2)
         ensembles = [
@@ -248,15 +249,22 @@ class TestEvolveEnsemble:
             correlated_ensemble(0.75, plus, UP, minus, DOWN),
             correlated_ensemble(0.5, UP, UP, DOWN, DOWN),
         ]
-        rate = fixed_rate(0.8)
-        for ens in ensembles:
-            aggregate = evolve_ensemble(
-                ens, EvolutionPolicy.AGGREGATE_MEANS, 1.0, times, rate_fn=rate
-            )
-            branchwise = evolve_ensemble(
-                ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times, rate_fn=rate
-            )
-            assert np.max(np.abs(aggregate - branchwise)) < 1e-10
+        for ens, eps in itertools.product(ensembles, (0.4, -1.0, 3.0)):
+            aggregate = evolve_ensemble(ens, EvolutionPolicy.AGGREGATE_MEANS, eps, times)
+            branchwise = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, eps, times)
+            assert np.max(np.abs(aggregate[1] - branchwise[1])) < 1e-10
+
+    def test_control_rotates_at_twice_epsilon(self):
+        """The control of a single vector is its rotation by 2 * eps * t,
+        whatever its third component."""
+        times = time_grid(3.0, 1e-2)
+        ens = self.make_uncorrelated(0.75)
+        b = mixture_bloch(0.75)
+        _, control = evolve_ensemble(ens, EvolutionPolicy.AGGREGATE_MEANS, 1.5, times)
+        expected = np.stack(
+            [b.s1 * np.cos(3.0 * times), b.s1 * np.sin(3.0 * times), np.full(times.size, b.s3)], axis=1
+        )
+        assert np.max(np.abs(control - expected)) < 1e-12
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(
@@ -282,7 +290,8 @@ class TestEvolveEnsemble:
         policy = EvolutionPolicy.BRANCH_MEANS
         original = evolve_ensemble(Ensemble(tuple(branches)), policy, eps, times)
         permuted = evolve_ensemble(Ensemble(tuple(branches[i] for i in order)), policy, eps, times)
-        assert np.max(np.abs(original - permuted)) < 1e-12
+        for before, after in zip(original, permuted):  # the trajectory and its control
+            assert np.max(np.abs(before - after)) < 1e-12
 
     def test_entangled_branch_rejected_under_branch_means(self):
         ens = Ensemble((Branch(1.0, singlet()),))
@@ -297,15 +306,3 @@ class TestEvolveEnsemble:
                 1.0,
                 np.array([]),
             )
-
-
-class TestRates:
-    def test_mean_field_rate_reads_the_state(self):
-        rate = mean_field_rate(2.0)
-        assert rate(BlochVector(0.0, 0.0, 0.5)) == 2.0
-        assert rate(BlochVector(0.0, 0.0, -1.0)) == -4.0
-
-    def test_fixed_rate_ignores_the_state(self):
-        rate = fixed_rate(0.7)
-        assert rate(POLE) == 0.7
-        assert rate(DIAG) == 0.7

@@ -18,26 +18,26 @@ LINEAR_SHA256 = "d4f5f92ea08b8541e0160540f3f3100d8b1b7dcaf4227a308c940259f3941d6
 
 GOLDEN = {
     "sec5-csv": (["run", "sec5", "--format", "csv"], "f6fdfb858c6ac1a9167db2383f09c8277a59af4ab03a324ca552c10c608ab90d"),
-    "sec5-json": (["run", "sec5", "--format", "json"], "c2ec024c5d61f72236b320f66a051b97cce89f0187fa5ce519f9ab6134a5ec70"),
+    "sec5-json": (["run", "sec5", "--format", "json"], "14aafa56f30a0137f46bb763d075e7be48395465be80816370e7fc825e222c64"),
     "sec6-csv": (["run", "sec6", "--format", "csv"], "0783f4283b2648ddbefe4cd63225677181b64d6d7d82c2be669b4e0e8b45f21e"),
-    "sec6-json": (["run", "sec6", "--format", "json"], "b3060307f9cad6ced9f19a5760febe8a86d592d296370ac3fc8eaac1b6fd88e9"),
+    "sec6-json": (["run", "sec6", "--format", "json"], "41a0a918e44a0e6c123ef9e700c0e406042bc3b97bad8787ea790d1e309096d6"),
     "sec7-csv": (["run", "sec7", "--format", "csv"], "a4b1b33f6db71a1fd605e3aaf39e34054571ce1c7309c8a2f7b4bd084ed14cc7"),
-    "sec7-json": (["run", "sec7", "--format", "json"], "b43269601cd0662f813995f5f9ccae3d58088d153ee4e04b15a09bd4a5e85b05"),
+    "sec7-json": (["run", "sec7", "--format", "json"], "b8403578b7525084d0c1adb613d548f35034b90349bb4e94fda05eb843d0c89f"),
     "sec8-csv": (["run", "sec8", "--format", "csv"], "1cf5b6764ac0384f28c757fbc5eebd3ac31cf628eeeaccf5d22c9f4b0dcae374"),
-    "sec8-json": (["run", "sec8", "--format", "json"], "f9bbdb93139223d5613ef1c6050aed8780282081082e997c0af4d91bf1706e66"),
+    "sec8-json": (["run", "sec8", "--format", "json"], "8911fdc8251b0cf5352ceb2a3982258c92c7c516b2ecc15e31ed8ca18ccedc57"),
     "sec8-diag-json": (
         ["run", "sec8", "--basis", "diag", "--format", "json"],
-        "83eb0401930bd672e6785c651310363c9419c7217eeb662ccde5ac505f6669c2",
+        "1905f2a349b74f430b222aa36c7ae6ee2af2700d5767a6cd5018002ed6f7f5a7",
     ),
     # non-default precisions: 17 takes the repr spelling of every float in
     # JSON, 6 the shortest texts, 16 the longest CSV texts
     "sec8-json-p17": (
         ["run", "sec8", "--format", "json", "--precision", "17"],
-        "950d3c550d30246a4049ba7e25b64a75377da845a3df55d927bd5140be15fd1c",
+        "3ce2d685815e84af54c4b1a986171f428f6c5196ad6efa5d76b0342dc39c1daa",
     ),
     "sec5-json-p6": (
         ["run", "sec5", "--format", "json", "--precision", "6"],
-        "87dde8196f6a004eeb22374e8fa9b23ea9f8e8e20079aee8f52ed6dda9cdee1b",
+        "4531b421bbdcbd936ddece3420abbca3945d3ef2e72bece25b8e31161d7382c7",
     ),
     "sec7-csv-p16": (
         ["run", "sec7", "--format", "csv", "--precision", "16"],
@@ -47,7 +47,7 @@ GOLDEN = {
     # 35,716 points per trajectory
     "sec8-json-t40": (
         ["run", "sec8", "--format", "json", "--t-max", "40"],
-        "14ce2df004dd08de2cc4a38ae9e0509b85e8ae896bca8ac9b6a308c59d02fdbd",
+        "c2a16432a3ab50e3197c3e2e7411423c5c0759669e014f0d65f23b2e54da5a0f",
     ),
     "sec7-csv-t25-dt7e-4": (
         ["run", "sec7", "--format", "csv", "--t-max", "25", "--dt", "0.0007"],

@@ -5,25 +5,47 @@ records each code object it enters, then runs the command line at small
 sizes: every command, every scenario in both formats at each precision path,
 both sec8 bases, output to a file and to stdout, and the error cases. A def
 that none of them enters is dead surface: it goes, or its test-only use
-moves into tests/oracles.py or tests/random_inputs.py. The exemptions below
-name the few that stay on purpose.
+moves into tests/oracles.py or tests/random_inputs.py. EXEMPT names the
+defs that stay on purpose; one of them, with the call shapes pinned below,
+is what perfbench's traced run reads.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
 
+from spinpair.dynamics_linear import no_signalling_suite
+from spinpair.dynamics_nonlinear import evolve_ensemble
+from spinpair.measurement import measure_all
+from spinpair.scenarios import ScenarioConfig, diag_basis, singlet_preparation
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PACKAGE = os.path.join(SRC, "spinpair")
 
 EXEMPT = {
-    "dynamics_nonlinear.fixed_rate": "the linearity control: run_scenario(rate_fn=fixed_rate(w)) "
-    "makes every divergence vanish; no command sets a rate",
-    "dynamics_nonlinear.fixed_rate.<locals>.rate": "the rate that fixed_rate returns",
     "measurement.MeasurementBasis.__len__": "perfbench's tracer counts the projectors tried with len(basis)",
 }
+
+
+def test_the_call_shapes_perfbench_reads():
+    """perfbench's traced run reads these arguments by position or by name:
+    the grid of evolve_ensemble, the trials of no_signalling_suite, and the
+    basis of measure_all, whose len() and the len() of its result it counts.
+    A change to one of them fails here rather than in a benchmark run."""
+
+    def parameter(function, index):
+        return list(inspect.signature(function).parameters)[index]
+
+    assert parameter(evolve_ensemble, 3) == "times"
+    assert parameter(no_signalling_suite, 0) == "trials"
+    assert parameter(measure_all, 1) == "basis"
+    basis = diag_basis()
+    assert len(basis) == 2
+    assert len(measure_all(singlet_preparation(ScenarioConfig()), basis)) == 2
+
 
 SMALL = ["--t-max", "1", "--dt", "0.1"]
 COMMANDS = [

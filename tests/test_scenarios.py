@@ -4,7 +4,10 @@ Expected waveforms are recomputed locally from their closed forms; every
 SPECS entry must reproduce them through the ensemble/measurement machinery.
 """
 
+import json
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -12,11 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinpair.dynamics_nonlinear import fixed_rate, time_grid
+from spinpair.cli import main
+from spinpair.dynamics_nonlinear import time_grid
 from spinpair.scenarios import (
     MAX_ANGLE,
     MAX_GRID_POINTS,
     MAX_TRIALS,
+    MIN_CONTRAST,
     SPECS,
     BasisChoice,
     ContractCheck,
@@ -197,6 +202,16 @@ class TestClassicalCorrelations:
         with pytest.raises(DegenerateConfigError):
             run_scenario(ScenarioId.CLASSICAL_CORRELATIONS, ScenarioConfig(p=p))
 
+    def test_contrast_at_the_rounding_floor_rejected(self):
+        """At p = 1/2 the contrast is the largest angle 2 * |epsilon| * t_max:
+        refused at MIN_CONTRAST, run with positive divergence just above it."""
+        at_floor = ScenarioConfig(epsilon=-MIN_CONTRAST / 2.0, p=0.5, t_max=1.0, dt=0.1)
+        with pytest.raises(DegenerateConfigError, match="rounding would erase it"):
+            run_scenario(ScenarioId.CLASSICAL_CORRELATIONS, at_floor)
+        above = ScenarioConfig(epsilon=-MIN_CONTRAST, p=0.5, t_max=1.0, dt=0.1)
+        report = run_scenario(ScenarioId.CLASSICAL_CORRELATIONS, above)
+        assert report.contracts_ok and report.divergence > 0.0
+
     def test_pure_limit_consistency_with_uncorrelated_scenario(self):
         """The measured correlated arm equals the uncorrelated scenario run at
         p = 1: collapsing onto one branch is the pure-state limit."""
@@ -278,24 +293,34 @@ class TestSpecTable:
         the contracts hold up to the angle cap: no rounding reaches a bound."""
         cfg = ScenarioConfig(p=p, epsilon=epsilon, t_max=LONGEST_T_MAX, dt=1.0)
         report = run_scenario(scenario, cfg)
-        assert report.checks
+        assert report.checks[-1].name == "linear control"
         assert report.contracts_ok, [check for check in report.checks if not check.passed]
 
     @pytest.mark.parametrize("scenario", NONLINEAR, ids=NONLINEAR_IDS)
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         p=st.floats(0.05, 0.95),
-        epsilon=st.floats(0.25, 4.0),
-        omega=st.floats(-4.0, 4.0),
+        # either sign, up to the largest |epsilon| the angle cap allows at t_max 2
+        epsilon=st.one_of(st.floats(0.25, MAX_ANGLE / 4.0), st.floats(-MAX_ANGLE / 4.0, -0.25)),
+        basis=st.sampled_from(BasisChoice),
     )
-    @example(p=0.75, epsilon=1.0, omega=0.8)
-    def test_fixed_rate_restores_linearity(self, scenario, p, epsilon, omega):
-        """With a state-independent precession the arms cannot be told apart."""
-        cfg = ScenarioConfig(p=p, epsilon=epsilon, t_max=2.0, dt=1e-2)
-        report = run_scenario(scenario, cfg, rate_fn=fixed_rate(omega))
-        assert report.divergence < 1e-10
-        assert report.checks == ()
-        assert report.narrative["rate_override"] is True
+    @example(p=0.75, epsilon=1.0, basis=BasisChoice.UPDOWN)
+    @example(p=0.05, epsilon=-MAX_ANGLE / 4.0, basis=BasisChoice.DIAG)
+    def test_linear_control_restores_linearity(self, scenario, p, epsilon, basis):
+        """With a state-independent precession the arms cannot be told apart:
+        the `linear control` check of a JSON export holds."""
+        argv = [
+            "run", SPECS[scenario].name, "--p", repr(p), "--epsilon", repr(epsilon),
+            "--t-max", "2", "--dt", "0.01", "--basis", basis.value, "--format", "json",
+        ]
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "report.json")
+            assert main([*argv, "--out", path]) == 0
+            with open(path, encoding="utf-8") as handle:
+                checks = json.load(handle)["checks"]
+        assert checks[-1]["name"] == "linear control"
+        assert checks[-1]["value"] <= 1e-10 and checks[-1]["passed"] is True
+        assert (checks[-1]["bound"], checks[-1]["comparison"]) == (1e-10, "<=")
 
 
 class TestRunScenario:
