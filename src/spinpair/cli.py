@@ -5,9 +5,10 @@ fails, 1 on usage or I/O errors. Output is deterministic: identical
 invocations produce byte-identical files.
 
 A report holds one time grid, `report.times`, and every trajectory as an
-`(n, 3)` points array on it. CSV renders the grid's text once for all arms;
-JSON writes the grid next to each trajectory's points and renders its text
-once per indent.
+`(n, 3)` points array on it. CSV renders the grid's text once for all arms.
+JSON (schema version 2) writes the grid once, as the top-level `times` of a
+run with arms, and each trajectory as `{"points": [...]}`, one `[s1, s2, s3]`
+row per line.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .scenarios import (
 
 ALIASES = {"linear": "sec3"}
 BY_NAME = {spec.name: scenario for scenario, spec in SPECS.items()}
-ROWS = 4096  # trajectory rows rendered and written at a time
-_SLOT = r'"\\u0000(\d+)\\u0000"'  # a trajectory's placeholder, as json.dumps writes it
+ROWS = 4096  # array rows rendered and written at a time
+_SLOT = r'"\\u0000(\d+)\\u0000"'  # an array's placeholder, as json.dumps writes it
 
 
 class UsageError(Exception):
@@ -198,41 +199,40 @@ def _json_spelling(text: str) -> str:
     return repr(value)  # "1e+12" -> "1000000000000.0"; "4.94065645841e-324" -> "5e-324"
 
 
-def _write_trajectory(write, points, times, precision: int, pad: str, grids: dict) -> None:
-    """`{"points": ..., "times": ...}` as json.dumps(indent=2) writes it at
-    indent `pad`, in chunks of ROWS rows; `grids` caches the chunk texts of
-    the report's one time grid by `pad`."""
-    i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
-    row_sep, join_row = f"\n{i2}],\n{i2}[\n{i3}", f",\n{i3}".join
-    write(f'{{\n{i1}"points": [\n{i2}[\n{i3}')
-    for start in range(0, len(points), ROWS):
-        block = points[start : start + ROWS]
-        columns = [_float_texts(block[:, j], precision, True) for j in range(3)]
+def _write_array(write, array, precision: int, pad: str) -> None:
+    """A 1-d grid, or `(n, 3)` rows each on one line, as json.dumps(indent=2)
+    writes a list at indent `pad`, in chunks of ROWS rows."""
+    sep = f",\n{pad}  "
+    write(f"[\n{pad}  ")
+    for start in range(0, len(array), ROWS):
+        block = array[start : start + ROWS]
         if start:
-            write(row_sep)
-        write(row_sep.join(map(join_row, zip(*columns))))
-    write(f'\n{i2}]\n{i1}],\n{i1}"times": [\n{i2}')
-    if pad not in grids:
-        sep = f",\n{i2}"
-        grids[pad] = [
-            (sep if start else "") + sep.join(_float_texts(times[start : start + ROWS], precision, True))
-            for start in range(0, len(times), ROWS)
-        ]
-    for text in grids[pad]:
-        write(text)
-    write(f"\n{i1}]\n{pad}}}")
+            write(sep)
+        if block.ndim == 1:
+            write(sep.join(_float_texts(block, precision, True)))
+            continue
+        # every row's texts and separators in one list, joined once: a string
+        # per row would be one more copy of the chunk's text until the join
+        parts = ["[", "", ", ", "", ", ", "", "]", sep] * len(block)
+        for j in range(3):
+            parts[1 + 2 * j :: 8] = _float_texts(block[:, j], precision, True)
+        parts.pop()  # no separator after the last row
+        write("".join(parts))
+    write(f"\n{pad}]")
 
 
-def _jsonable(value, precision: int, trajectories: list):
-    """Report value -> json-ready value; each trajectory (an array) becomes a
-    placeholder string naming its index in `trajectories`."""
+def _jsonable(value, precision: int, arrays: list):
+    """Report value -> json-ready value; each array becomes a placeholder
+    string naming its index in `arrays`, and a trajectory (a 2-d array) the
+    object `{"points": placeholder}`."""
     if isinstance(value, np.ndarray):
-        trajectories.append(value)
-        return f"\0{len(trajectories) - 1}\0"
+        arrays.append(value)
+        slot = f"\0{len(arrays) - 1}\0"
+        return {"points": slot} if value.ndim == 2 else slot
     if isinstance(value, dict):
-        return {str(k): _jsonable(v, precision, trajectories) for k, v in value.items()}
+        return {str(k): _jsonable(v, precision, arrays) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v, precision, trajectories) for v in value]
+        return [_jsonable(v, precision, arrays) for v in value]
     if isinstance(value, float):
         return float(format(float(value), f".{precision}g"))
     if isinstance(value, enum.Enum):
@@ -261,10 +261,11 @@ def _render_csv(report: ScenarioReport, precision: int):
 
 
 def _render_json(report: ScenarioReport, precision: int):
-    """Build the JSON document's skeleton and check its trajectory slots now;
+    """Build the JSON document's skeleton and check its array slots now;
     return a writer that passes the document to a `write` callable, each
-    trajectory in chunks of ROWS rows."""
+    array in chunks of ROWS rows."""
     doc = {
+        "schema_version": 2,
         "scenario": report.scenario,
         "config": asdict(report.config),
         "divergence": report.divergence,
@@ -273,20 +274,21 @@ def _render_json(report: ScenarioReport, precision: int):
         "arms": report.arms,
         "narrative": report.narrative,
     }
-    trajectories = []
-    skeleton = json.dumps(_jsonable(doc, precision, trajectories), indent=2, sort_keys=True)
+    if report.times is not None:  # only a run with arms has a grid; sec3 writes no empty key
+        doc["times"] = report.times
+    arrays = []
+    skeleton = json.dumps(_jsonable(doc, precision, arrays), indent=2, sort_keys=True)
     # [text, index, text, index, ..., text]; a slot takes the indent of its line
     pieces = re.split(_SLOT, skeleton + "\n")
-    if sorted(map(int, pieces[1::2])) != list(range(len(trajectories))):
-        raise RuntimeError(f"{len(pieces) // 2} slots for {len(trajectories)} trajectories")
+    if sorted(map(int, pieces[1::2])) != list(range(len(arrays))):
+        raise RuntimeError(f"{len(pieces) // 2} slots for {len(arrays)} arrays")
 
     def render(write) -> None:
-        grids = {}
         write(pieces[0])
         for k in range(1, len(pieces), 2):
             line = pieces[k - 1].rpartition("\n")[2]
             pad = line[: len(line) - len(line.lstrip(" "))]
-            _write_trajectory(write, trajectories[int(pieces[k])], report.times, precision, pad, grids)
+            _write_array(write, arrays[int(pieces[k])], precision, pad)
             write(pieces[k + 1])
 
     return render

@@ -462,8 +462,8 @@ def _refuse_without_contrast(cfg: ScenarioConfig) -> None:
 def run_scenario(scenario: ScenarioId, cfg: ScenarioConfig) -> ScenarioReport:
     """Run the contrast SPECS[scenario] at cfg.
 
-    With one measured arm the narrative's outcomes and per-outcome
-    trajectories are flat; with two they are keyed by arm.
+    The narrative's outcomes are keyed by measured arm, and its per-outcome
+    trajectories by "armX/outcomeK", however many arms are measured.
     """
     spec = SPECS[scenario]
     if spec.needs_contrast:
@@ -501,9 +501,6 @@ def run_scenario(scenario: ScenarioId, cfg: ScenarioConfig) -> ScenarioReport:
                 }
             )
         arms[key], controls[key] = points, control
-    if len(outcomes) == 1:  # a single measured arm needs no arm prefix
-        (outcomes,) = outcomes.values()
-        per_outcome = {name.partition("/")[2]: traj for name, traj in per_outcome.items()}
 
     arm_a, arm_b = arms["armA"], arms["armB"]
     divergence = _max_abs(arm_a[:, 1] - arm_b[:, 1])

@@ -6,11 +6,11 @@ here; none of these run in a `spinpair` command.
 * Export. The exporter in `spinpair.cli` renders each trajectory's float
   columns and the report's one time grid to text, splices them into a
   `json.dumps` of the rest of the report, and streams the result in chunks
-  of rows. render_csv and render_json are the per-float originals it
-  replaced: every float is formatted with `format(x, ".{p}g")`, and in JSON
-  parsed back and written by the json encoder, with `report.times` written
-  next to the points of every trajectory. The fast routes must match them
-  byte for byte; `rendered` joins what they stream.
+  of rows. render_csv and render_json are per-float routes: every float is
+  formatted with `format(x, ".{p}g")`, and in JSON parsed back and written
+  by the json encoder, the grid once as the top-level `times` and each
+  trajectory row as `json.dumps` of its three rounded floats. The fast
+  routes must match them byte for byte; `rendered` joins what they stream.
 * Linear dynamics. ProductUnitary, evolve and heisenberg_probability are the
   per-trial forms of the routes that `dynamics_linear.trial_probabilities`
   evaluates on stacks of trials.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,18 +58,24 @@ def rounded(value: float, precision: int) -> float:
     return float(fmt(value, precision))
 
 
-def jsonable(value, precision: int, times):
-    """Report value -> json-ready value; a trajectory (an array) becomes its
-    points and the grid `times`, each float rounded on its own."""
+# a trajectory row's text, marked; as json.dumps writes it in a string
+ROW = "\x01"
+ROW_STRING = r'"\\u0001(\[[^"]*\])"'
+
+
+def jsonable(value, precision: int):
+    """Report value -> json-ready value, each float rounded on its own. A
+    1-d array (the time grid) becomes a list; a trajectory (a 2-d array)
+    becomes `{"points": rows}`, each row the json.dumps text of its floats
+    behind ROW, which render_json unquotes onto one line."""
     if isinstance(value, np.ndarray):
-        return {
-            "times": [rounded(t, precision) for t in times],
-            "points": [[rounded(c, precision) for c in row] for row in value],
-        }
+        if value.ndim == 1:
+            return [rounded(t, precision) for t in value]
+        return {"points": [ROW + json.dumps([rounded(c, precision) for c in row]) for row in value]}
     if isinstance(value, dict):
-        return {str(k): jsonable(v, precision, times) for k, v in value.items()}
+        return {str(k): jsonable(v, precision) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [jsonable(v, precision, times) for v in value]
+        return [jsonable(v, precision) for v in value]
     if isinstance(value, float):
         return rounded(value, precision)
     if isinstance(value, enum.Enum):
@@ -89,6 +96,7 @@ def render_csv(report: ScenarioReport, precision: int) -> str:
 
 def render_json(report: ScenarioReport, precision: int) -> str:
     doc = {
+        "schema_version": 2,
         "scenario": report.scenario,
         "config": asdict(report.config),
         "divergence": report.divergence,
@@ -97,7 +105,10 @@ def render_json(report: ScenarioReport, precision: int) -> str:
         "arms": report.arms,
         "narrative": report.narrative,
     }
-    return json.dumps(jsonable(doc, precision, report.times), indent=2, sort_keys=True) + "\n"
+    if report.times is not None:
+        doc["times"] = report.times
+    text = json.dumps(jsonable(doc, precision), indent=2, sort_keys=True) + "\n"
+    return re.sub(ROW_STRING, r"\1", text)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,10 @@ class TestEmitReport:
         doc = json.loads(path.read_text())
         assert doc["scenario"] == "no-correlations"
         assert set(doc["arms"]) == {"armA", "armB"}
-        assert doc["arms"]["armA"]["times"] == [0.0, 0.5, 1.0]
+        assert doc["schema_version"] == 2
+        assert doc["times"] == [0.0, 0.5, 1.0]
+        assert list(doc["arms"]["armA"]) == ["points"]
+        assert len(doc["arms"]["armA"]["points"]) == 3
         assert doc["divergence"] == 0.25
         assert isinstance(doc["config"]["t_max"], float)
         assert doc["narrative"]["description"] == "fixture"
@@ -165,6 +168,7 @@ class TestMain:
         doc = json.loads(capsys.readouterr().out)
         assert doc["contracts_ok"] is True
         assert doc["narrative"]["trials"] == 20
+        assert doc["schema_version"] == 2 and "times" not in doc  # no arms, no grid
 
     def test_silent_arm_rows_in_csv(self, tmp_path):
         """Every armA row of the changed-correlations export has |sigma2| < 1e-10."""

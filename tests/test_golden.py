@@ -14,30 +14,30 @@ from spinpair.cli import main
 
 # verify-linear and `run sec3 --format json` resolve to the same scenario and
 # the same defaults, so they must write the same bytes.
-LINEAR_SHA256 = "d4f5f92ea08b8541e0160540f3f3100d8b1b7dcaf4227a308c940259f3941d63"
+LINEAR_SHA256 = "c8895b4be90e63727463400e2f7674017ad1a15f674ad6bf3de9b5a5db80c4d5"
 
 GOLDEN = {
     "sec5-csv": (["run", "sec5", "--format", "csv"], "f6fdfb858c6ac1a9167db2383f09c8277a59af4ab03a324ca552c10c608ab90d"),
-    "sec5-json": (["run", "sec5", "--format", "json"], "14aafa56f30a0137f46bb763d075e7be48395465be80816370e7fc825e222c64"),
+    "sec5-json": (["run", "sec5", "--format", "json"], "8a073373d5eb24677c4b5e25049872c79ffcb878f61badda067a1d123c1fdb6d"),
     "sec6-csv": (["run", "sec6", "--format", "csv"], "0783f4283b2648ddbefe4cd63225677181b64d6d7d82c2be669b4e0e8b45f21e"),
-    "sec6-json": (["run", "sec6", "--format", "json"], "41a0a918e44a0e6c123ef9e700c0e406042bc3b97bad8787ea790d1e309096d6"),
+    "sec6-json": (["run", "sec6", "--format", "json"], "bbe89a47cd26f5682c6ff2c36f1fc04a8dc164007475b141b0c7b7544b4e6f61"),
     "sec7-csv": (["run", "sec7", "--format", "csv"], "a4b1b33f6db71a1fd605e3aaf39e34054571ce1c7309c8a2f7b4bd084ed14cc7"),
-    "sec7-json": (["run", "sec7", "--format", "json"], "b8403578b7525084d0c1adb613d548f35034b90349bb4e94fda05eb843d0c89f"),
+    "sec7-json": (["run", "sec7", "--format", "json"], "72cd029a4fa7123342b69b23464698b254435d9826d3ce419aa4494efb79fc73"),
     "sec8-csv": (["run", "sec8", "--format", "csv"], "1cf5b6764ac0384f28c757fbc5eebd3ac31cf628eeeaccf5d22c9f4b0dcae374"),
-    "sec8-json": (["run", "sec8", "--format", "json"], "8911fdc8251b0cf5352ceb2a3982258c92c7c516b2ecc15e31ed8ca18ccedc57"),
+    "sec8-json": (["run", "sec8", "--format", "json"], "b2b84af6a153a5b8af1dd2ef9d07fe90235f15efd3498b917dc6810359385422"),
     "sec8-diag-json": (
         ["run", "sec8", "--basis", "diag", "--format", "json"],
-        "1905f2a349b74f430b222aa36c7ae6ee2af2700d5767a6cd5018002ed6f7f5a7",
+        "386ebcb17a7a76eca77224dfe08063fa7953e6965d079e3e54bc37692199efb3",
     ),
     # non-default precisions: 17 takes the repr spelling of every float in
     # JSON, 6 the shortest texts, 16 the longest CSV texts
     "sec8-json-p17": (
         ["run", "sec8", "--format", "json", "--precision", "17"],
-        "3ce2d685815e84af54c4b1a986171f428f6c5196ad6efa5d76b0342dc39c1daa",
+        "3926fa57e23eba7a0cad0f9956f5d187f06a0446c818792ec9e9d0dcc4892411",
     ),
     "sec5-json-p6": (
         ["run", "sec5", "--format", "json", "--precision", "6"],
-        "4531b421bbdcbd936ddece3420abbca3945d3ef2e72bece25b8e31161d7382c7",
+        "4aae31b0c791a1ff5be5e20ca1a17c97e34d169f2ce3b6211ca4352f2018df24",
     ),
     "sec7-csv-p16": (
         ["run", "sec7", "--format", "csv", "--precision", "16"],
@@ -47,7 +47,7 @@ GOLDEN = {
     # 35,716 points per trajectory
     "sec8-json-t40": (
         ["run", "sec8", "--format", "json", "--t-max", "40"],
-        "c2a16432a3ab50e3197c3e2e7411423c5c0759669e014f0d65f23b2e54da5a0f",
+        "1127f78864f2f832d7fdb07c74816f1b9db867b50c37bfb094c633639ee8d9f1",
     ),
     "sec7-csv-t25-dt7e-4": (
         ["run", "sec7", "--format", "csv", "--t-max", "25", "--dt", "0.0007"],

@@ -17,6 +17,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from spinpair.cli import main
 from spinpair.dynamics_linear import no_signalling_suite
 from spinpair.dynamics_nonlinear import evolve_ensemble
 from spinpair.measurement import measure_all
@@ -45,6 +48,37 @@ def test_the_call_shapes_perfbench_reads():
     basis = diag_basis()
     assert len(basis) == 2
     assert len(measure_all(singlet_preparation(ScenarioConfig()), basis)) == 2
+
+
+@pytest.mark.parametrize(
+    "name, basis", [("sec5", None), ("sec6", None), ("sec7", None), ("sec8", "updown"), ("sec8", "diag")]
+)
+def test_the_json_shape_perfbench_reads(name, basis, tmp_path):
+    """perfbench's export-json run counts a command as failed unless its
+    report has contracts_ok true and exactly the arms armA and armB, each
+    with a points list as long as the grid and no times of another length.
+    A format change that breaks this fails here rather than in a benchmark
+    run."""
+    path = tmp_path / "out.json"
+    argv = ["run", name, "--format", "json", "--p", "0.3", "--epsilon", "2.5", "--out", str(path)]
+    assert main(argv + (["--basis", basis] if basis else [])) == 0
+    doc = json.loads(path.read_text())
+    assert doc["contracts_ok"] is True
+    assert sorted(doc["arms"]) == ["armA", "armB"]
+    grid = 10_001  # the default grid, 0 to 10 in steps of 1e-3
+    for arm in doc["arms"].values():
+        assert isinstance(arm["points"], list) and len(arm["points"]) == grid
+        assert len(arm.get("times", arm["points"])) == grid
+
+
+def test_the_trial_count_perfbench_reads(tmp_path):
+    """perfbench's linear-suite run checks the report's config.trials against
+    the --trials it asked for."""
+    path = tmp_path / "out.json"
+    assert main(["verify-linear", "--trials", "37", "--seed", "5", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert doc["contracts_ok"] is True
+    assert doc["config"]["trials"] == 37
 
 
 SMALL = ["--t-max", "1", "--dt", "0.1"]

@@ -192,10 +192,13 @@ class TestClassicalCorrelations:
         assert report.divergence > 0.3
 
     def test_both_outcomes_yield_the_same_trajectory(self):
+        """One arm is measured, and its outcomes are keyed by that arm as
+        they are when both arms are."""
         report = run_scenario(ScenarioId.CLASSICAL_CORRELATIONS, FAST)
+        assert list(report.narrative["outcomes"]) == ["armA"]
         per = report.narrative["per_outcome_trajectories"]
-        assert set(per) == {"outcome0", "outcome1"}
-        assert np.max(np.abs(per["outcome0"][:, 1] - per["outcome1"][:, 1])) < 1e-12
+        assert set(per) == {"armA/outcome0", "armA/outcome1"}
+        assert np.max(np.abs(per["armA/outcome0"][:, 1] - per["armA/outcome1"][:, 1])) < 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_degenerate_weight_rejected(self, p):
