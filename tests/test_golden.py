@@ -1,5 +1,6 @@
 """Golden outputs: SHA-256 of every default-config export, of three
-non-default precisions and of two non-default grids.
+non-default precisions, of two non-default grids and of every contrast at the
+size of one benchmark parameter sweep command.
 
 A refactor of the scenario, measurement, dynamics or export code must leave
 these bytes unchanged. A change that alters an output on purpose updates the
@@ -15,6 +16,8 @@ from spinpair.cli import main
 # verify-linear and `run sec3 --format json` resolve to the same scenario and
 # the same defaults, so they must write the same bytes.
 LINEAR_SHA256 = "c8895b4be90e63727463400e2f7674017ad1a15f674ad6bf3de9b5a5db80c4d5"
+
+SWEEP = ["--t-max", "10", "--dt", "0.1", "--p", "0.637218", "--epsilon", "1.481537"]
 
 GOLDEN = {
     "sec5-csv": (["run", "sec5", "--format", "csv"], "f6fdfb858c6ac1a9167db2383f09c8277a59af4ab03a324ca552c10c608ab90d"),
@@ -53,6 +56,36 @@ GOLDEN = {
         ["run", "sec7", "--format", "csv", "--t-max", "25", "--dt", "0.0007"],
         "20b07e7b816e485a6cad442ee1dcf43f5b25fffd3305a5419d756d84e42b9970",
     ),
+    # one command of a parameter sweep: a 101-point grid at a p and an epsilon
+    # drawn like the sweep's, so that 2p - 1 is not a power of two
+    **{
+        name: (["run", *argv, *SWEEP], digest)
+        for name, argv, digest in (
+            ("sec5-csv-sweep", ["sec5"], "04107069ffde4053b430ca21161956df4dd40190af7d40373eb844d3909a4293"),
+            ("sec6-csv-sweep", ["sec6"], "9905b039efc7021ea5cb918c0bba400f9a7941f10b1e153b5c07539376b2dfc0"),
+            ("sec7-csv-sweep", ["sec7"], "77f24ee8e0a75cce414bd18859b79238f2451e143804ef6d67883726e69b2af8"),
+            (
+                "sec8-updown-csv-sweep",
+                ["sec8", "--basis", "updown"],
+                "1cfb5d601a09eb8202aa6f6c2fdc463c1e39c72828fa49d732c4aa132db9dba9",
+            ),
+            (
+                "sec8-diag-csv-sweep",
+                ["sec8", "--basis", "diag"],
+                "1cfb5d601a09eb8202aa6f6c2fdc463c1e39c72828fa49d732c4aa132db9dba9",
+            ),
+            (
+                "sec7-json-sweep",
+                ["sec7", "--format", "json"],
+                "9be163eff9ec6dc87a5cb38b91d0d01353d041ba057db9bc4dcacc0b79958b2a",
+            ),
+            (
+                "sec8-diag-json-sweep",
+                ["sec8", "--basis", "diag", "--format", "json"],
+                "d9ab02afde5b8e171c47addbac7f9197803c039140aff7a55165736fe40c4138",
+            ),
+        )
+    },
     "verify-linear": (["verify-linear"], LINEAR_SHA256),
     "sec3-json": (["run", "sec3", "--format", "json"], LINEAR_SHA256),
 }
