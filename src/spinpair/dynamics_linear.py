@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import PROB_FLOOR
-from .qmath import ATOL, IDENTITY_2, MEAN_IMAG_TOL, ConsistencyError, pauli
+from .qmath import ATOL, IDENTITY_2, MEAN_IMAG_TOL, PAULI, ConsistencyError
 from .states import NORM_ATOL
 
 # Trials per batch. The suite's working memory is one batch (about 18 MB
@@ -107,7 +107,7 @@ def _random_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
     axis = rng.standard_normal((n, 3))
     axis /= np.linalg.norm(axis, axis=1, keepdims=True)
     half = 0.5 * rng.uniform(0.0, 2.0 * np.pi, n)[:, None, None]
-    n_dot_sigma = np.einsum("nk,kij->nij", axis, np.stack([pauli(k) for k in (1, 2, 3)]))
+    n_dot_sigma = np.einsum("nk,kij->nij", axis, PAULI)
     return np.cos(half) * IDENTITY_2 - 1.0j * np.sin(half) * n_dot_sigma
 
 
@@ -174,9 +174,9 @@ def _density(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 def _expect(operator: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Real expectations Tr(operator rho) over stacks; ConsistencyError when an
-    imaginary residue exceeds MEAN_IMAG_TOL, as mean_value raises. The terms
-    are added in order: numpy would sum a lone trial's terms pairwise, so a
-    trial's bits would depend on its batch."""
+    imaginary residue exceeds MEAN_IMAG_TOL, as qmath._real_traces raises. The
+    terms are added in order: numpy would sum a lone trial's terms pairwise, so
+    a trial's bits would depend on its batch."""
     terms = operator * rho.swapaxes(0, 1)
     terms = terms.reshape(-1, *terms.shape[2:])
     value = sum(terms[1:], terms[0])

@@ -9,16 +9,20 @@ projected-and-renormalized density matrix of the input, which the tests check
 against that independent route. The single-outcome routes (outcome
 probability, collapse onto one projector, the joint probability summed over
 a decomposition) are test oracles in tests/oracles.py.
+
+A basis is immutable, so it is validated once, before its first measurement,
+and its embedded projectors I (x) P_k are built once with that validation;
+later measurements in the same basis only collapse.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmath import ATOL, IDENTITY_2, checked, mean_value, projector
+from .qmath import ATOL, IDENTITY_2, _real_traces, checked, projector
 from .states import Branch, Ensemble, density_of
 
 # Outcomes and branches below this probability are treated as impossible;
@@ -41,6 +45,7 @@ class MeasurementBasis:
     """
 
     projectors: tuple[np.ndarray, ...]
+    _embedded: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.projectors:
@@ -54,6 +59,19 @@ class MeasurementBasis:
 
     def __len__(self) -> int:  # perfbench's tracer counts the projectors tried with len()
         return len(self.projectors)
+
+    def embedded(self) -> np.ndarray:
+        """The remote-side projectors I (x) P_k as one read-only (n, 4, 4) stack,
+        built when the basis first passes validate_basis; ValueError listing
+        the violations otherwise."""
+        if self._embedded is None:
+            report = validate_basis(self)
+            if not report.ok:
+                raise ValueError("invalid measurement basis: " + "; ".join(report.violations))
+            stack = np.stack([np.kron(IDENTITY_2, effect) for effect in self.projectors])
+            stack.setflags(write=False)
+            object.__setattr__(self, "_embedded", stack)
+        return self._embedded
 
 
 @dataclass(frozen=True)
@@ -128,14 +146,10 @@ def _collapse(ensemble: Ensemble, embedded: np.ndarray) -> Ensemble:
 def measure_all(ensemble: Ensemble, basis: MeasurementBasis) -> tuple[OutcomeBranch, ...]:
     """Full outcome decomposition of a measurement on the remote spin: one
     OutcomeBranch per projector that can fire."""
-    report = validate_basis(basis)
-    if not report.ok:
-        raise ValueError("invalid measurement basis: " + "; ".join(report.violations))
-    rho = density_of(ensemble)
-    outcomes = []
-    for index, effect in enumerate(basis.projectors):
-        embedded = np.kron(IDENTITY_2, effect)
-        prob = mean_value(embedded, rho)
-        if prob > PROB_FLOOR:
-            outcomes.append(OutcomeBranch(index, prob, _collapse(ensemble, embedded)))
-    return tuple(outcomes)
+    embedded = basis.embedded()
+    probabilities = _real_traces(embedded, density_of(ensemble))
+    return tuple(
+        OutcomeBranch(index, prob, _collapse(ensemble, embedded[index]))
+        for index, prob in enumerate(probabilities)
+        if prob > PROB_FLOOR
+    )

@@ -15,6 +15,13 @@ tests/oracles.py.
 Arrays are validated once, where they enter: public functions and value-type
 constructors pass array arguments through checked, which names the argument
 in its error; internal code passes already validated arrays straight to numpy.
+The constants (PAULI, IDENTITY_2) are built once, at import, and are
+read-only. The kernels _reduce and _real_traces skip checked: they take only
+arrays the package computed from validated values. _reduce is the float
+operation of trace_out_remote, and _real_traces gives the bits of one
+checked trace per operator (the oracle mean_value in tests/oracles.py).
+_real_traces still raises ConsistencyError on an imaginary residue, which
+no validation of the inputs rules out.
 """
 
 from __future__ import annotations
@@ -34,13 +41,12 @@ class ConsistencyError(RuntimeError):
     """An algebraic identity that must hold exactly failed beyond tolerance."""
 
 
-_PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+# The spin matrices Sigma1, Sigma2, Sigma3, stacked: PAULI[k - 1] is axis k.
+PAULI = np.array(
+    [[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]],
+    dtype=complex,
 )
-for _m in _PAULI:
-    _m.setflags(write=False)
+PAULI.setflags(write=False)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 IDENTITY_2.setflags(write=False)
@@ -58,32 +64,26 @@ def checked(value, name: str, *shapes: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def pauli(axis: int) -> np.ndarray:
-    """Return the 2x2 spin matrix for the given axis (1, 2, or 3)."""
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2, or 3, got {axis!r}")
-    return _PAULI[axis - 1].copy()
+def _reduce(composite: np.ndarray) -> np.ndarray:
+    return np.trace(composite.reshape(2, 2, 2, 2), axis1=1, axis2=3)
 
 
 def trace_out_remote(composite) -> np.ndarray:
     """Reduced 2x2 operator for the system spin: partial trace over the remote factor."""
-    m = checked(composite, "composite", (4, 4))
-    return np.trace(m.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+    return _reduce(checked(composite, "composite", (4, 4)))
 
 
-def mean_value(operator, rho) -> float:
-    """Real expectation Tr[operator @ rho] of a hermitian operator on a state."""
-    a = checked(operator, "operator", (2, 2), (4, 4))
-    r = checked(rho, "rho", (2, 2), (4, 4))
-    if a.shape != r.shape:
-        raise ValueError(f"operator and state dimensions differ: {a.shape} vs {r.shape}")
-    value = complex(np.trace(a @ r))
-    if abs(value.imag) > MEAN_IMAG_TOL:
-        raise ConsistencyError(
-            f"expectation value has imaginary residue {value.imag:.3e}; "
-            "operator or state is not what it claims to be"
-        )
-    return value.real
+def _real_traces(operators: np.ndarray, rho: np.ndarray) -> list[float]:
+    """Real expectations Tr[A @ rho] of a stack of hermitian operators A on one
+    state; ConsistencyError if one has an imaginary residue above MEAN_IMAG_TOL."""
+    values = (operators @ rho).trace(axis1=-2, axis2=-1)
+    for residue in values.imag.tolist():
+        if abs(residue) > MEAN_IMAG_TOL:
+            raise ConsistencyError(
+                f"expectation value has imaginary residue {residue:.3e}; "
+                "operator or state is not what it claims to be"
+            )
+    return values.real.tolist()
 
 
 def projector(vector) -> np.ndarray:

@@ -51,15 +51,16 @@ from .dynamics_nonlinear import (
 from .measurement import MeasurementBasis, basis_from_vectors, measure_all
 from .qmath import trace_out_remote
 from .states import (
+    DIAG_MINUS,
+    DIAG_PLUS,
     DOWN,
+    SINGLET,
     UP,
     Branch,
     Ensemble,
     correlated_ensemble,
     density_of,
-    diag_eigenstates,
     product_ensemble,
-    singlet,
 )
 
 # Work bounds, checked before anything is allocated: grid points per arm
@@ -183,49 +184,32 @@ class ScenarioReport:
 
 
 # ---------------------------------------------------------------------------
-# preparations and bases
+# preparations and bases; those that do not depend on the config are built
+# once, at import, and shared read-only by every run
 
 
 def uncorrelated_preparation(cfg: ScenarioConfig) -> Ensemble:
     """Mixture of the two diagonal-axis system states at weight p, product
     with a fixed remote state: no correlations between the spins."""
-    plus, minus = diag_eigenstates()
-    return product_ensemble([(cfg.p, plus), (1.0 - cfg.p, minus)], [(1.0, UP)])
+    return product_ensemble([(cfg.p, DIAG_PLUS), (1.0 - cfg.p, DIAG_MINUS)], [(1.0, UP)])
 
 
 def classical_preparation(cfg: ScenarioConfig) -> Ensemble:
     """Diagonal-axis system mixture at weight p whose branches are flagged by
     orthogonal remote markers: classical correlations, no entanglement."""
-    plus, minus = diag_eigenstates()
-    return correlated_ensemble(cfg.p, plus, UP, minus, DOWN)
+    return correlated_ensemble(cfg.p, DIAG_PLUS, UP, DIAG_MINUS, DOWN)
 
 
-def updown_preparation(cfg: ScenarioConfig) -> Ensemble:
-    """Half-half mixture of the third-axis eigenstates, flagged by remote
-    markers; p is 1/2 by construction."""
-    return correlated_ensemble(0.5, UP, UP, DOWN, DOWN)
+# Half-half mixtures of the third-axis and of the diagonal-axis eigenstates,
+# flagged by remote markers; p is 1/2 by construction.
+UPDOWN_PREPARATION = correlated_ensemble(0.5, UP, UP, DOWN, DOWN)
+DIAG_PREPARATION = correlated_ensemble(0.5, DIAG_PLUS, UP, DIAG_MINUS, DOWN)
+# The total-spin-zero pure state as a one-branch ensemble.
+SINGLET_PREPARATION = Ensemble((Branch(1.0, SINGLET),))
 
-
-def diag_preparation(cfg: ScenarioConfig) -> Ensemble:
-    """Half-half mixture of the diagonal-axis eigenstates, flagged by remote
-    markers; p is 1/2 by construction."""
-    plus, minus = diag_eigenstates()
-    return correlated_ensemble(0.5, plus, UP, minus, DOWN)
-
-
-def singlet_preparation(cfg: ScenarioConfig) -> Ensemble:
-    """The total-spin-zero pure state as a one-branch ensemble."""
-    return Ensemble((Branch(1.0, singlet()),))
-
-
-def marker_basis() -> MeasurementBasis:
-    """Remote measurement along the marker (up/down) directions."""
-    return basis_from_vectors(UP, DOWN)
-
-
-def diag_basis() -> MeasurementBasis:
-    """Remote measurement along the diagonal-axis directions."""
-    return basis_from_vectors(*diag_eigenstates())
+# Remote measurements along the marker (up/down) and the diagonal-axis directions.
+MARKER_BASIS = basis_from_vectors(UP, DOWN)
+DIAG_BASIS = basis_from_vectors(DIAG_PLUS, DIAG_MINUS)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +254,13 @@ def _describe_ensemble(ensemble: Ensemble) -> list[dict]:
 
 @dataclass(frozen=True)
 class Arm:
-    """One side of a contrast: prepare the pair, optionally measure the remote
-    spin along basis(), evolve the system spin under policy."""
+    """One side of a contrast: the pair's preparation (an ensemble, or a
+    function of the config that builds one), optionally a measurement of the
+    remote spin along basis, and the policy the system spin evolves under."""
 
     label: str
-    prepare: Callable[[ScenarioConfig], Ensemble]
-    basis: Callable[[], MeasurementBasis] | None
+    prepare: Ensemble | Callable[[ScenarioConfig], Ensemble]
+    basis: MeasurementBasis | None
     policy: EvolutionPolicy
 
 
@@ -387,7 +372,7 @@ SPECS: dict[ScenarioId, ScenarioSpec] = {
         (
             Arm("aggregate evolution, no measurement", uncorrelated_preparation, None, AGGREGATE),
             Arm("remote markers measured, outcomes evolved and averaged",
-                uncorrelated_preparation, marker_basis, AGGREGATE),
+                uncorrelated_preparation, MARKER_BASIS, AGGREGATE),
         ),
         _no_correlations_checks,
         _p_extras,
@@ -400,7 +385,7 @@ SPECS: dict[ScenarioId, ScenarioSpec] = {
         "classical correlations: measured arm follows the pure-state solution, independent of p",
         (
             Arm("correlated preparation, remote markers measured, branch-wise evolution",
-                classical_preparation, marker_basis, BRANCHWISE),
+                classical_preparation, MARKER_BASIS, BRANCHWISE),
             Arm("uncorrelated preparation at the same p, aggregate evolution, no measurement",
                 uncorrelated_preparation, None, AGGREGATE),
         ),
@@ -417,9 +402,9 @@ SPECS: dict[ScenarioId, ScenarioSpec] = {
         "different dynamics",
         (
             Arm("third-axis mixture, markers measured, branch-wise evolution",
-                updown_preparation, marker_basis, BRANCHWISE),
+                UPDOWN_PREPARATION, MARKER_BASIS, BRANCHWISE),
             Arm("diagonal-axis mixture, markers measured, branch-wise evolution",
-                diag_preparation, marker_basis, BRANCHWISE),
+                DIAG_PREPARATION, MARKER_BASIS, BRANCHWISE),
         ),
         _changed_checks,
         _changed_extras,
@@ -432,9 +417,9 @@ SPECS: dict[ScenarioId, ScenarioSpec] = {
         "entanglement: the remote basis choice alone selects which dynamics the system shows",
         (
             Arm("remote measured along marker (updown) directions",
-                singlet_preparation, marker_basis, BRANCHWISE),
+                SINGLET_PREPARATION, MARKER_BASIS, BRANCHWISE),
             Arm("remote measured along diagonal directions",
-                singlet_preparation, diag_basis, BRANCHWISE),
+                SINGLET_PREPARATION, DIAG_BASIS, BRANCHWISE),
         ),
         _entanglement_checks,
         _entanglement_extras,
@@ -469,7 +454,10 @@ def run_scenario(scenario: ScenarioId, cfg: ScenarioConfig) -> ScenarioReport:
     if spec.needs_contrast:
         _refuse_without_contrast(cfg)
     # arms that share a preparation share one ensemble instead of building it twice
-    made = {prepare: prepare(cfg) for prepare in dict.fromkeys(arm.prepare for arm in spec.arms)}
+    made = {
+        prepare: prepare(cfg) if callable(prepare) else prepare
+        for prepare in dict.fromkeys(arm.prepare for arm in spec.arms)
+    }
     preps = tuple(made[arm.prepare] for arm in spec.arms)
     if not spec.arms:
         extras = spec.extras(cfg, preps)
@@ -487,7 +475,7 @@ def run_scenario(scenario: ScenarioId, cfg: ScenarioConfig) -> ScenarioReport:
         points = np.zeros((times.size, 3))
         control = np.zeros((times.size, 3))
         outcomes[key] = []
-        for outcome in measure_all(prepared, arm.basis()):
+        for outcome in measure_all(prepared, arm.basis):
             post = outcome.post_state
             traj, fixed = evolve_ensemble(post, arm.policy, cfg.epsilon, times)
             points += outcome.probability * traj

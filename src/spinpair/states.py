@@ -9,6 +9,12 @@ in this package ever silently replaces an ensemble by its density matrix.
 The remote spin is always modelled as a 2-dimensional system. Where only
 two orthonormal remote states are needed as markers, they are the remote
 basis vectors UP and DOWN.
+
+The fixed states (UP, DOWN, the diagonal eigenstates DIAG_PLUS and
+DIAG_MINUS, and SINGLET) are built once, at import, as read-only arrays that
+every command shares. branch_bloch and reduced_bloch take validated values
+only, so they call the unchecked qmath kernels; a branch's norm and a Bloch
+vector's range are still checked where those values are constructed.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmath import checked, mean_value, pauli, trace_out_remote
+from .qmath import PAULI, _real_traces, _reduce, checked
 
 NORM_ATOL = 1e-12
 
@@ -29,33 +35,19 @@ BLOCH_PURITY_ATOL = 1e-9
 BLOCH_BALL_SLACK = 1e-10
 
 UP = np.array([1.0, 0.0], dtype=complex)
-UP.setflags(write=False)
 DOWN = np.array([0.0, 1.0], dtype=complex)
-DOWN.setflags(write=False)
+# Eigenvectors of (Sigma1 + Sigma3)/sqrt(2) for eigenvalues +1 and -1. Phase
+# convention: the first nonzero component is real and positive.
+DIAG_PLUS = np.array([np.cos(np.pi / 8.0), np.sin(np.pi / 8.0)], dtype=complex)
+DIAG_MINUS = np.array([np.sin(np.pi / 8.0), -np.cos(np.pi / 8.0)], dtype=complex)
+# Total-spin-zero composite vector (|up,down> - |down,up>)/sqrt(2).
+SINGLET = np.array([0.0, 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0), 0.0], dtype=complex)
+for _state in (UP, DOWN, DIAG_PLUS, DIAG_MINUS, SINGLET):
+    _state.setflags(write=False)
 
 
 class NotProductError(ValueError):
     """A per-branch Bloch vector was requested for an entangled branch."""
-
-
-def diag_eigenstates() -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of (Sigma1 + Sigma3)/sqrt(2) for eigenvalues +1 and -1.
-
-    Phase convention: the first nonzero component is real and positive.
-    """
-    c = np.cos(np.pi / 8.0)
-    s = np.sin(np.pi / 8.0)
-    plus = np.array([c, s], dtype=complex)
-    minus = np.array([s, -c], dtype=complex)
-    return plus, minus
-
-
-def singlet() -> np.ndarray:
-    """Total-spin-zero composite vector (|up,down> - |down,up>)/sqrt(2)."""
-    v = np.zeros(4, dtype=complex)
-    v[1] = 1.0 / np.sqrt(2.0)
-    v[2] = -1.0 / np.sqrt(2.0)
-    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +124,7 @@ def density_of(ensemble: Ensemble) -> np.ndarray:
 
 def reduced_bloch(ensemble: Ensemble) -> BlochVector:
     """Bloch vector of the system spin for the whole preparation."""
-    rho = trace_out_remote(density_of(ensemble))
-    return BlochVector(*(mean_value(pauli(k), rho) for k in (1, 2, 3)))
+    return BlochVector(*_real_traces(PAULI, _reduce(density_of(ensemble))))
 
 
 def branch_bloch(branch: Branch) -> BlochVector:
@@ -143,8 +134,8 @@ def branch_bloch(branch: Branch) -> BlochVector:
     system factor, and asking for one raises NotProductError instead of
     returning a shortened vector.
     """
-    rho = trace_out_remote(np.outer(branch.vector, branch.vector.conj()))
-    comps = [mean_value(pauli(k), rho) for k in (1, 2, 3)]
+    rho = _reduce(np.outer(branch.vector, branch.vector.conj()))
+    comps = _real_traces(PAULI, rho)
     norm = float(np.sqrt(sum(c * c for c in comps)))
     if abs(norm - 1.0) > BLOCH_PURITY_ATOL:
         raise NotProductError(

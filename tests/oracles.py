@@ -23,6 +23,10 @@ here; none of these run in a `spinpair` command.
   Runge-Kutta and never sees the rotation kernel; closed_form evaluates the
   production kernel `dynamics_nonlinear._rotation_points` at one time, so
   their agreement covers the production path.
+* Matrix algebra. pauli returns one spin matrix as a fresh copy, and
+  mean_value checks both arrays and takes one trace at a time; the
+  production kernel `qmath._real_traces` takes the traces of a stack of
+  operators unchecked and must give the same bits.
 * Matrix predicates: dagger, is_hermitian, is_unitary, is_projector and
   is_density.
 """
@@ -38,7 +42,7 @@ import numpy as np
 
 from spinpair.dynamics_nonlinear import _rotation_points, time_grid
 from spinpair.measurement import OutcomeBranch, _collapse
-from spinpair.qmath import ATOL, IDENTITY_2, checked, mean_value
+from spinpair.qmath import ATOL, IDENTITY_2, MEAN_IMAG_TOL, PAULI, ConsistencyError, checked
 from spinpair.scenarios import ScenarioReport
 from spinpair.states import BlochVector, Branch, Ensemble, density_of
 
@@ -112,7 +116,29 @@ def render_json(report: ScenarioReport, precision: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# matrix predicates
+# matrix algebra and predicates
+
+
+def pauli(axis: int) -> np.ndarray:
+    """Return the 2x2 spin matrix for the given axis (1, 2, or 3)."""
+    if axis not in (1, 2, 3):
+        raise ValueError(f"axis must be 1, 2, or 3, got {axis!r}")
+    return PAULI[axis - 1].copy()
+
+
+def mean_value(operator, rho) -> float:
+    """Real expectation Tr[operator @ rho] of a hermitian operator on a state."""
+    a = checked(operator, "operator", (2, 2), (4, 4))
+    r = checked(rho, "rho", (2, 2), (4, 4))
+    if a.shape != r.shape:
+        raise ValueError(f"operator and state dimensions differ: {a.shape} vs {r.shape}")
+    value = complex(np.trace(a @ r))
+    if abs(value.imag) > MEAN_IMAG_TOL:
+        raise ConsistencyError(
+            f"expectation value has imaginary residue {value.imag:.3e}; "
+            "operator or state is not what it claims to be"
+        )
+    return value.real
 
 
 def dagger(matrix) -> np.ndarray:

@@ -3,9 +3,9 @@ bases, product unitaries and ensembles, one value at a time."""
 
 import numpy as np
 
-from oracles import ProductUnitary
+from oracles import ProductUnitary, pauli
 from spinpair.measurement import MeasurementBasis
-from spinpair.qmath import ATOL, IDENTITY_2, pauli, projector
+from spinpair.qmath import ATOL, IDENTITY_2, projector
 from spinpair.states import Branch, Ensemble
 
 

@@ -23,6 +23,8 @@ from oracles import (
     heisenberg_probability,
     is_unitary,
     joint_probability_total,
+    mean_value,
+    pauli,
 )
 from random_inputs import (
     random_ensemble,
@@ -39,7 +41,7 @@ from spinpair.dynamics_linear import (
     trial_probabilities,
 )
 from spinpair.measurement import MeasurementBasis, measure_all
-from spinpair.qmath import IDENTITY_2, ConsistencyError, mean_value, pauli, projector, trace_out_remote
+from spinpair.qmath import IDENTITY_2, ConsistencyError, projector, trace_out_remote
 from spinpair.scenarios import SUITE_DEVIATIONS, ScenarioConfig, ScenarioId, run_scenario
 from spinpair.states import UP, Branch, Ensemble, density_of, reduced_bloch
 

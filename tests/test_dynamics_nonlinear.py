@@ -20,16 +20,17 @@ from spinpair.dynamics_nonlinear import (
     time_grid,
 )
 from spinpair.states import (
+    DIAG_MINUS,
+    DIAG_PLUS,
     DOWN,
+    SINGLET,
     UP,
     BlochVector,
     Branch,
     Ensemble,
     NotProductError,
     correlated_ensemble,
-    diag_eigenstates,
     product_ensemble,
-    singlet,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -200,7 +201,7 @@ class TestIntegrateRk4:
 
 class TestEvolveEnsemble:
     def make_uncorrelated(self, p):
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         return product_ensemble([(p, plus), (1.0 - p, minus)], [(1.0, UP)])
 
     def test_aggregate_mixture_waveform(self):
@@ -215,7 +216,7 @@ class TestEvolveEnsemble:
     def test_branch_means_over_diagonal_branches(self):
         """Both diagonal branches produce the same full-amplitude waveform,
         so any weighting of them does too."""
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         times = time_grid(5.0, 1e-3)
         ens = correlated_ensemble(0.6, plus, UP, minus, DOWN)
         traj, _ = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times)
@@ -242,7 +243,7 @@ class TestEvolveEnsemble:
     def test_control_makes_policies_agree(self):
         """The control rotates at the state-independent rate 2 * eps, under
         which the decomposition is invisible."""
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         times = time_grid(5.0, 1e-2)
         ensembles = [
             self.make_uncorrelated(0.75),
@@ -294,7 +295,7 @@ class TestEvolveEnsemble:
             assert np.max(np.abs(before - after)) < 1e-12
 
     def test_entangled_branch_rejected_under_branch_means(self):
-        ens = Ensemble((Branch(1.0, singlet()),))
+        ens = Ensemble((Branch(1.0, SINGLET),))
         with pytest.raises(NotProductError):
             evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, time_grid(1.0, 0.1))
 

@@ -4,12 +4,14 @@ The branch-level collapse is checked against the matrix-level projection
 E Pi E / Tr[E Pi E] computed independently in the tests.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import collapse, joint_probability_total, outcome_probability
+from oracles import collapse, joint_probability_total, mean_value, outcome_probability
 from random_inputs import random_basis, random_ensemble, random_projector_2
 from spinpair.measurement import (
     PROB_FLOOR,
@@ -19,17 +21,18 @@ from spinpair.measurement import (
     measure_all,
     validate_basis,
 )
-from spinpair.qmath import IDENTITY_2, mean_value, projector, trace_out_remote
+from spinpair.qmath import IDENTITY_2, projector, trace_out_remote
 from spinpair.states import (
+    DIAG_MINUS,
+    DIAG_PLUS,
     DOWN,
+    SINGLET,
     UP,
     Branch,
     Ensemble,
     correlated_ensemble,
     density_of,
-    diag_eigenstates,
     product_ensemble,
-    singlet,
 )
 
 ATOL = 1e-12
@@ -40,12 +43,12 @@ def marker_basis():
 
 
 def classical_prep(p):
-    plus, minus = diag_eigenstates()
+    plus, minus = DIAG_PLUS, DIAG_MINUS
     return correlated_ensemble(p, plus, UP, minus, DOWN)
 
 
 def singlet_prep():
-    return Ensemble((Branch(1.0, singlet()),))
+    return Ensemble((Branch(1.0, SINGLET),))
 
 
 def luders_density(ensemble, effect):
@@ -105,7 +108,7 @@ class TestOutcomeProbability:
 
 class TestCollapse:
     def test_classical_prep_collapses_to_single_branch(self):
-        plus, _ = diag_eigenstates()
+        plus = DIAG_PLUS
         post = collapse(classical_prep(0.75), projector(UP))
         assert len(post.branches) == 1
         assert post.branches[0].weight == pytest.approx(1.0, abs=ATOL)
@@ -115,7 +118,7 @@ class TestCollapse:
     def test_singlet_diag_outcome_is_anticorrelated(self):
         """Projecting the remote spin onto the +1 diagonal state leaves the
         system spin in the -1 diagonal state."""
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         post = collapse(singlet_prep(), projector(plus))
         assert len(post.branches) == 1
         overlap = abs(np.vdot(post.branches[0].vector, np.kron(minus, plus)))
@@ -125,7 +128,7 @@ class TestCollapse:
         """With no correlations, the remote measurement cannot move the
         system's reduced state."""
         rng = np.random.default_rng(33)
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         prep = product_ensemble(
             [(0.3, plus), (0.7, minus)],
             [(0.5, (UP + DOWN) / np.sqrt(2.0)), (0.5, (UP - DOWN) / np.sqrt(2.0))],
@@ -209,8 +212,30 @@ class TestMeasureAll:
 
     def test_invalid_basis_rejected(self):
         p = projector(UP)
-        with pytest.raises(ValueError):
-            measure_all(singlet_prep(), MeasurementBasis((p, p)))
+        basis = MeasurementBasis((p, p))
+        for _ in range(2):  # at every measurement, not only the first
+            with pytest.raises(ValueError, match="invalid measurement basis"):
+                measure_all(singlet_prep(), basis)
+
+    def test_a_basis_is_validated_once(self):
+        basis = marker_basis()
+        with mock.patch("spinpair.measurement.validate_basis", wraps=validate_basis) as spy:
+            first = measure_all(singlet_prep(), basis)
+            second = measure_all(singlet_prep(), basis)
+        assert spy.call_count == 1
+        assert [o.probability for o in first] == [o.probability for o in second]
+        embedded = basis.embedded()
+        assert embedded is basis.embedded() and not embedded.flags.writeable
+        for effect, lifted in zip(basis.projectors, embedded):
+            np.testing.assert_array_equal(lifted, np.kron(IDENTITY_2, effect))
+
+    def test_probabilities_match_the_single_outcome_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            ens, basis = random_ensemble(rng), random_basis(rng)
+            for outcome in measure_all(ens, basis):
+                effect = basis.projectors[outcome.outcome_index]
+                assert outcome.probability == outcome_probability(ens, effect)
 
 
 class TestJointProbabilityTotal:

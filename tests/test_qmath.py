@@ -11,10 +11,10 @@ import re
 import numpy as np
 import pytest
 
-from oracles import dagger, is_density, is_hermitian, is_projector, is_unitary
+from oracles import dagger, is_density, is_hermitian, is_projector, is_unitary, mean_value, pauli
 from random_inputs import spin_unitary
 from spinpair.measurement import MeasurementBasis
-from spinpair.qmath import IDENTITY_2, ConsistencyError, mean_value, pauli, projector, trace_out_remote
+from spinpair.qmath import IDENTITY_2, PAULI, ConsistencyError, _real_traces, projector, trace_out_remote
 from spinpair.states import DOWN, UP, Branch, correlated_ensemble, product_ensemble
 
 ATOL = 1e-12
@@ -168,6 +168,28 @@ class TestMeanValue:
         rho = projector(np.array([c, s], dtype=complex))
         with pytest.raises(ConsistencyError):
             mean_value(1j * pauli(1), rho)
+
+
+class TestRealTraces:
+    """The unchecked kernel behind branch_bloch, reduced_bloch and
+    measure_all against the checked oracle, one trace at a time."""
+
+    def test_same_bits_as_one_mean_value_per_operator(self):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            v = random_vector(rng, 4)
+            w = random_vector(rng, 4)
+            rho4 = 0.4 * np.outer(v, v.conj()) + 0.6 * np.outer(w, w.conj())
+            rho2 = trace_out_remote(np.outer(v, v.conj()))
+            assert _real_traces(PAULI, rho2) == [mean_value(pauli(k), rho2) for k in (1, 2, 3)]
+            effect = projector(random_vector(rng, 2))
+            stack = np.stack([np.kron(IDENTITY_2, effect), np.kron(IDENTITY_2, IDENTITY_2 - effect)])
+            assert _real_traces(stack, rho4) == [mean_value(op, rho4) for op in stack]
+
+    def test_imaginary_residue_raises(self):
+        rho = projector(np.array([np.cos(np.pi / 8.0), np.sin(np.pi / 8.0)], dtype=complex))
+        with pytest.raises(ConsistencyError, match="imaginary residue"):
+            _real_traces(np.stack([IDENTITY_2, 1j * pauli(1)]), rho)
 
 
 class TestSpinUnitary:

@@ -23,7 +23,7 @@ from spinpair.cli import main
 from spinpair.dynamics_linear import no_signalling_suite
 from spinpair.dynamics_nonlinear import evolve_ensemble
 from spinpair.measurement import measure_all
-from spinpair.scenarios import ScenarioConfig, diag_basis, singlet_preparation
+from spinpair.scenarios import DIAG_BASIS, SINGLET_PREPARATION
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PACKAGE = os.path.join(SRC, "spinpair")
@@ -45,9 +45,9 @@ def test_the_call_shapes_perfbench_reads():
     assert parameter(evolve_ensemble, 3) == "times"
     assert parameter(no_signalling_suite, 0) == "trials"
     assert parameter(measure_all, 1) == "basis"
-    basis = diag_basis()
+    basis = DIAG_BASIS
     assert len(basis) == 2
-    assert len(measure_all(singlet_preparation(ScenarioConfig()), basis)) == 2
+    assert len(measure_all(SINGLET_PREPARATION, basis)) == 2
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,11 @@ Expected waveforms are recomputed locally from their closed forms; every
 SPECS entry must reproduce them through the ensemble/measurement machinery.
 """
 
+import importlib
 import json
 import math
 import os
+import random
 import tempfile
 import tracemalloc
 
@@ -30,6 +32,8 @@ from spinpair.scenarios import (
     ScenarioId,
     run_scenario,
 )
+from spinpair.measurement import MeasurementBasis
+from spinpair.states import Ensemble
 
 SQRT2 = np.sqrt(2.0)
 
@@ -358,3 +362,56 @@ class TestRunScenario:
         assert retained <= (8 + 6 * 24) * points + 2**20
         stored = [report.times, *report.arms.values(), *report.narrative["per_outcome_trajectories"].values()]
         assert sum(array.nbytes for array in stored) == (8 + 6 * 24) * points
+
+
+class TestSharedState:
+    """The fixed states, preparations and bases are built once, at import, and
+    every command shares them; nothing a command can change lives on."""
+
+    MODULES = ("qmath", "states", "measurement", "dynamics_nonlinear", "dynamics_linear", "scenarios", "cli")
+    SHARED = {
+        "qmath": ("PAULI", "IDENTITY_2"),
+        "states": ("UP", "DOWN", "DIAG_PLUS", "DIAG_MINUS", "SINGLET"),
+        "scenarios": (
+            "UPDOWN_PREPARATION", "DIAG_PREPARATION", "SINGLET_PREPARATION", "MARKER_BASIS", "DIAG_BASIS",
+        ),
+    }
+
+    def test_every_module_level_array_is_read_only(self):
+        arrays = []  # (the module-level name that holds the array, the array)
+        for name in self.MODULES:
+            module = importlib.import_module(f"spinpair.{name}")
+            for attr, value in vars(module).items():
+                owner = f"{name}.{attr}"
+                if isinstance(value, np.ndarray):
+                    arrays.append((owner, value))
+                elif isinstance(value, MeasurementBasis):
+                    arrays += [(owner, effect) for effect in (*value.projectors, value.embedded())]
+                elif isinstance(value, Ensemble):
+                    arrays += [(owner, branch.vector) for branch in value.branches]
+        shared = {f"{name}.{attr}" for name, attrs in self.SHARED.items() for attr in attrs}
+        assert shared <= {owner for owner, _ in arrays}
+        assert [owner for owner, array in arrays if array.flags.writeable] == []
+
+    def test_commands_write_the_same_bytes_in_any_order(self, tmp_path):
+        """A sweep of small CSV runs, and two JSON runs, through one interpreter
+        twice, in two different orders: every argv writes the same bytes both
+        times, so no command leaves state behind that the next one reads."""
+        rng = random.Random(11)
+        variants = [["sec5"], ["sec6"], ["sec7"], ["sec8", "--basis", "updown"], ["sec8", "--basis", "diag"]]
+        pool = [
+            ("run", *variant, "--t-max", "10", "--dt", "0.1",
+             "--p", f"{rng.uniform(0.05, 0.95):.6f}", "--epsilon", f"{rng.uniform(0.25, 4.0):.6f}")
+            for variant in variants * 4
+        ]
+        pool += [("run", "sec7", "--format", "json", "--t-max", "2"), ("run", "sec8", "--format", "json", "--t-max", "2")]
+        rng.shuffle(pool)
+        path = tmp_path / "out"
+        written = []
+        for order in (pool, pool[::-1]):
+            outputs = {}
+            for argv in order:
+                assert main([*argv, "--out", str(path)]) == 0
+                outputs[argv] = path.read_bytes()
+            written.append(outputs)
+        assert written[0] == written[1]

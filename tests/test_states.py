@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import bloch_array, is_density, is_hermitian
+from oracles import bloch_array, is_density, is_hermitian, mean_value, pauli
 from random_inputs import random_ensemble, random_state_vector
-from spinpair.qmath import mean_value, pauli, projector, trace_out_remote
+from spinpair.qmath import projector, trace_out_remote
 from spinpair.states import (
+    DIAG_MINUS,
+    DIAG_PLUS,
     DOWN,
+    SINGLET,
     UP,
     BlochVector,
     Branch,
@@ -16,10 +19,8 @@ from spinpair.states import (
     branch_bloch,
     correlated_ensemble,
     density_of,
-    diag_eigenstates,
     product_ensemble,
     reduced_bloch,
-    singlet,
 )
 
 ATOL = 1e-12
@@ -30,25 +31,25 @@ class TestDiagEigenstates:
     def test_eigenvalue_equations(self):
         """(Sigma1 + Sigma3)/sqrt(2) has the two states as +1/-1 eigenvectors."""
         op = (pauli(1) + pauli(3)) / SQRT2
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         np.testing.assert_allclose(op @ plus, plus, atol=ATOL)
         np.testing.assert_allclose(op @ minus, -minus, atol=ATOL)
 
     def test_orthonormal(self):
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         assert abs(np.vdot(plus, minus)) <= ATOL
         assert abs(np.linalg.norm(plus) - 1.0) <= ATOL
         assert abs(np.linalg.norm(minus) - 1.0) <= ATOL
 
     def test_phase_convention(self):
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         for vec in (plus, minus):
             assert vec[0].imag == 0.0
             assert vec[0].real > 0.0
 
     def test_bloch_components(self):
         """Both states have (s1, s2, s3) = (+-1/sqrt(2), 0, +-1/sqrt(2))."""
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         for vec, sign in ((plus, 1.0), (minus, -1.0)):
             rho = projector(vec)
             assert mean_value(pauli(1), rho) == pytest.approx(sign / SQRT2, abs=ATOL)
@@ -102,7 +103,7 @@ class TestBlochVector:
 
 class TestDensityOf:
     def test_single_branch_is_rank_one_projector(self):
-        vec = np.kron(*diag_eigenstates())
+        vec = np.kron(DIAG_PLUS, DIAG_MINUS)
         e = Ensemble((Branch(1.0, vec),))
         np.testing.assert_allclose(density_of(e), np.outer(vec, vec.conj()), atol=ATOL)
 
@@ -116,7 +117,7 @@ class TestDensityOf:
     def test_same_reduced_state_different_composites(self):
         """The two half-half preparations share a reduced state but not a
         composite density matrix."""
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         updown = correlated_ensemble(0.5, UP, UP, DOWN, DOWN)
         diag = correlated_ensemble(0.5, plus, UP, minus, DOWN)
         composite_gap = np.max(np.abs(density_of(updown) - density_of(diag)))
@@ -140,7 +141,7 @@ class TestReducedBloch:
     def test_diagonal_mixture(self):
         """Both nonzero components equal (2p - 1)/sqrt(2)."""
         p = 0.75
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         e = product_ensemble([(p, plus), (1.0 - p, minus)], [(1.0, UP)])
         b = reduced_bloch(e)
         expected = (2.0 * p - 1.0) / SQRT2
@@ -149,11 +150,11 @@ class TestReducedBloch:
         assert b.s3 == pytest.approx(expected, abs=ATOL)
 
     def test_singlet_is_unpolarized(self):
-        e = Ensemble((Branch(1.0, singlet()),))
+        e = Ensemble((Branch(1.0, SINGLET),))
         np.testing.assert_allclose(bloch_array(reduced_bloch(e)), np.zeros(3), atol=ATOL)
 
     def test_balanced_mixture_cancels(self):
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         e = product_ensemble([(0.5, plus), (0.5, minus)], [(1.0, UP)])
         np.testing.assert_allclose(bloch_array(reduced_bloch(e)), np.zeros(3), atol=ATOL)
 
@@ -178,7 +179,7 @@ class TestReducedBloch:
 
 class TestBranchBloch:
     def test_diag_product_branch(self):
-        plus, _ = diag_eigenstates()
+        plus = DIAG_PLUS
         b = branch_bloch(Branch(1.0, np.kron(plus, UP)))
         np.testing.assert_allclose(bloch_array(b), [1.0 / SQRT2, 0.0, 1.0 / SQRT2], atol=ATOL)
 
@@ -188,13 +189,26 @@ class TestBranchBloch:
 
     def test_entangled_branch_rejected(self):
         with pytest.raises(NotProductError):
-            branch_bloch(Branch(1.0, singlet()))
+            branch_bloch(Branch(1.0, SINGLET))
+
+    def test_same_bits_as_the_oracle(self):
+        """branch_bloch and reduced_bloch give the bits of one checked
+        mean_value per spin matrix on the reduced state."""
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            vec = np.kron(random_state_vector(rng, 2), random_state_vector(rng, 2))
+            rho = trace_out_remote(np.outer(vec, vec.conj()))
+            expected = [mean_value(pauli(k), rho) for k in (1, 2, 3)]
+            assert list(bloch_array(branch_bloch(Branch(1.0, vec)))) == expected
+            ens = random_ensemble(rng)
+            rho = trace_out_remote(density_of(ens))
+            assert list(bloch_array(reduced_bloch(ens))) == [mean_value(pauli(k), rho) for k in (1, 2, 3)]
 
 
 class TestProductEnsemble:
     def test_mixture_with_fixed_remote(self):
         p = 0.75
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         e = product_ensemble([(p, plus), (1.0 - p, minus)], [(1.0, UP)])
         assert len(e.branches) == 2
         assert [b.weight for b in e.branches] == [p, 1.0 - p]
@@ -224,7 +238,7 @@ class TestProductEnsemble:
 class TestCorrelatedEnsemble:
     def test_matches_weighted_projector_sum(self):
         p = 0.6
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         e = correlated_ensemble(p, plus, UP, minus, DOWN)
         expected = p * np.kron(projector(plus), projector(UP)) + (1.0 - p) * np.kron(
             projector(minus), projector(DOWN)
@@ -232,29 +246,29 @@ class TestCorrelatedEnsemble:
         np.testing.assert_allclose(density_of(e), expected, atol=ATOL)
 
     def test_non_orthogonal_markers_rejected(self):
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         with pytest.raises(ValueError):
             correlated_ensemble(0.5, plus, UP, minus, UP)
 
     def test_degenerate_weight_gives_rank_one_density(self):
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         e = correlated_ensemble(1.0, plus, UP, minus, DOWN)
         assert np.linalg.matrix_rank(density_of(e), tol=1e-10) == 1
 
 
 class TestSinglet:
     def test_reduced_state_is_maximally_mixed(self):
-        vec = singlet()
+        vec = SINGLET
         np.testing.assert_allclose(
             trace_out_remote(np.outer(vec, vec.conj())), np.eye(2) / 2.0, atol=ATOL
         )
 
     def test_orthogonal_to_parallel_spins(self):
-        assert abs(np.vdot(np.kron(UP, UP), singlet())) <= ATOL
-        assert abs(np.vdot(np.kron(DOWN, DOWN), singlet())) <= ATOL
+        assert abs(np.vdot(np.kron(UP, UP), SINGLET)) <= ATOL
+        assert abs(np.vdot(np.kron(DOWN, DOWN), SINGLET)) <= ATOL
 
     def test_rotated_decomposition_identity(self):
         """The same state written with the diagonal pair, up to a global phase."""
-        plus, minus = diag_eigenstates()
+        plus, minus = DIAG_PLUS, DIAG_MINUS
         rotated = (np.kron(plus, minus) - np.kron(minus, plus)) / SQRT2
-        assert abs(abs(np.vdot(rotated, singlet())) - 1.0) <= ATOL
+        assert abs(abs(np.vdot(rotated, SINGLET)) - 1.0) <= ATOL
