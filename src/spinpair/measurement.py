@@ -18,7 +18,8 @@ later measurements in the same basis only collapse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,6 @@ class MeasurementBasis:
     """
 
     projectors: tuple[np.ndarray, ...]
-    _embedded: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.projectors:
@@ -60,18 +60,17 @@ class MeasurementBasis:
     def __len__(self) -> int:  # perfbench's tracer counts the projectors tried with len()
         return len(self.projectors)
 
+    @cached_property
     def embedded(self) -> np.ndarray:
         """The remote-side projectors I (x) P_k as one read-only (n, 4, 4) stack,
         built when the basis first passes validate_basis; ValueError listing
-        the violations otherwise."""
-        if self._embedded is None:
-            report = validate_basis(self)
-            if not report.ok:
-                raise ValueError("invalid measurement basis: " + "; ".join(report.violations))
-            stack = np.stack([np.kron(IDENTITY_2, effect) for effect in self.projectors])
-            stack.setflags(write=False)
-            object.__setattr__(self, "_embedded", stack)
-        return self._embedded
+        the violations otherwise, and nothing kept."""
+        report = validate_basis(self)
+        if not report.ok:
+            raise ValueError("invalid measurement basis: " + "; ".join(report.violations))
+        stack = np.stack([np.kron(IDENTITY_2, effect) for effect in self.projectors])
+        stack.setflags(write=False)
+        return stack
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ def _collapse(ensemble: Ensemble, embedded: np.ndarray) -> Ensemble:
 def measure_all(ensemble: Ensemble, basis: MeasurementBasis) -> tuple[OutcomeBranch, ...]:
     """Full outcome decomposition of a measurement on the remote spin: one
     OutcomeBranch per projector that can fire."""
-    embedded = basis.embedded()
+    embedded = basis.embedded
     probabilities = _real_traces(embedded, density_of(ensemble))
     return tuple(
         OutcomeBranch(index, prob, _collapse(ensemble, embedded[index]))

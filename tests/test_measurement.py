@@ -224,8 +224,8 @@ class TestMeasureAll:
             second = measure_all(singlet_prep(), basis)
         assert spy.call_count == 1
         assert [o.probability for o in first] == [o.probability for o in second]
-        embedded = basis.embedded()
-        assert embedded is basis.embedded() and not embedded.flags.writeable
+        embedded = basis.embedded
+        assert embedded is basis.embedded and not embedded.flags.writeable
         for effect, lifted in zip(basis.projectors, embedded):
             np.testing.assert_array_equal(lifted, np.kron(IDENTITY_2, effect))
 

@@ -386,7 +386,7 @@ class TestSharedState:
                 if isinstance(value, np.ndarray):
                     arrays.append((owner, value))
                 elif isinstance(value, MeasurementBasis):
-                    arrays += [(owner, effect) for effect in (*value.projectors, value.embedded())]
+                    arrays += [(owner, effect) for effect in (*value.projectors, value.embedded)]
                 elif isinstance(value, Ensemble):
                     arrays += [(owner, branch.vector) for branch in value.branches]
         shared = {f"{name}.{attr}" for name, attrs in self.SHARED.items() for attr in attrs}
