@@ -175,18 +175,19 @@ def test_a_stray_placeholder_refuses_to_write(tmp_path):
     assert not path.exists()
 
 
-def streamed_peak(report):
-    """(tracemalloc peak, bytes written) of rendering the report's JSON into
-    a sink that keeps nothing."""
+def streamed_peak(report, fmt="json"):
+    """(tracemalloc peak, bytes written) of rendering the report's JSON, or
+    its CSV, into a sink that keeps nothing."""
     size = 0
 
     def discard(text):
         nonlocal size
         size += len(text)
 
+    render = {"json": cli._render_json, "csv": cli._render_csv}[fmt]
     tracemalloc.start()
     try:
-        cli._render_json(report, 12)(discard)
+        render(report, 12)(discard)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -203,6 +204,20 @@ def test_json_memory_stays_near_the_output_size():
     longer, longer_size = streamed_peak(run_scenario(ScenarioId.ENTANGLEMENT, ScenarioConfig(t_max=40)))
     assert longer_size > 3.9 * size
     assert longer <= 1.1 * peak
+
+
+def test_csv_memory_stays_flat_in_the_grid_length():
+    """Streamed, the default sec8 CSV peaks at no more than twice the text it
+    writes, and a grid four times as long at no more than 1.25 times that
+    peak. Both bounds were measured on the exporter that formatted each float
+    on its own and kept the time grid's text for all arms: 1.80 times the
+    798,615 bytes written, and 1.16 times that peak at the 4x grid (the kept
+    grid text grows with the grid); each bound adds about a tenth of slack."""
+    peak, size = streamed_peak(run_scenario(ScenarioId.ENTANGLEMENT, ScenarioConfig()), "csv")
+    assert peak <= 2.0 * size
+    longer, longer_size = streamed_peak(run_scenario(ScenarioId.ENTANGLEMENT, ScenarioConfig(t_max=40)), "csv")
+    assert longer_size > 3.9 * size
+    assert longer <= 1.25 * peak
 
 
 @pytest.mark.parametrize("existing", [None, b"old bytes\n"])
