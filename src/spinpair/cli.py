@@ -5,10 +5,21 @@ fails, 1 on usage or I/O errors. Output is deterministic: identical
 invocations produce byte-identical files.
 
 A report holds one time grid, `report.times`, and every trajectory as an
-`(n, 3)` points array on it. CSV renders the grid's text once for all arms.
-JSON (schema version 2) writes the grid once, as the top-level `times` of a
-run with arms, and each trajectory as `{"points": [...]}`, one `[s1, s2, s3]`
-row per line.
+`(n, 3)` points array on it. JSON (schema version 2) writes the grid once, as
+the top-level `times` of a run with arms, and each trajectory as
+`{"points": [...]}`, one `[s1, s2, s3]` row per line.
+
+One row emitter, `_write_rows`, writes JSON's `[s1, s2, s3]` rows and 1-d
+grid and CSV's `t,arm,s1,s2,s3` rows, ROWS rows at a time. A chunk of
+CROSSOVER rows or more is one uint8 matrix: numpy formats each float column
+into fixed-width cells (`_float_cells`), the literal separators fill the
+columns between them, and the matrix's nonzero bytes are the chunk's text. A
+column of one bit pattern is formatted once. The few values the numpy
+formatter cannot round with certainty (near a half, zeros, subnormals,
+JSON's integral texts) take the per-float route, `_float_texts`, one Python
+format call per value; so do shorter chunks and precisions above 13, whose
+texts are spliced between the literals. A grid shorter than CROSSOVER is
+formatted once for all CSV arms.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ import os
 import re
 import sys
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -37,6 +48,25 @@ from .scenarios import (
 ALIASES = {"linear": "sec3"}
 BY_NAME = {spec.name: scenario for scenario, spec in SPECS.items()}
 ROWS = 4096  # array rows rendered and written at a time
+CROSSOVER = 384  # chunk rows from which numpy, not a call per float, formats the floats
+# Tables of the numpy formatter, `_float_cells`. Its uint64 words hold bytes
+# in memory order, so it runs on little-endian hosts only.
+_U64 = np.uint64
+_BYTES = _U64(0x0101010101010101)  # 1 in every byte lane
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"), dtype="<u2")  # "00".."99"
+# 10**j and 1, or 1 and 10**-j, at column j + _TENS_AT: exact for |j| <= 22
+_TENS_AT = 303
+_TENS = np.array([[float(10 ** max(j, 0)), float(10 ** max(-j, 0))] for j in range(-_TENS_AT, 309)]).T.copy()
+# two words whose first c bytes are 0xFF, for c in 0..16
+_FIRST_BYTES = np.array([[(1 << 8 * min(c, 8)) - 1, (1 << 8 * max(c - 8, 0)) - 1] for c in range(17)], _U64)
+# the sign (6 * neg), then "0." and -e - 1 zeros of a value below 1 (lead 1 - e), right-aligned in 8 bytes
+_HEADS = np.array(
+    [int.from_bytes(("-" * neg + ("0." + "0" * (lead - 2)) * (lead > 0)).rjust(8, "\0").encode(), "little")
+     for neg in (0, 1) for lead in range(6)],
+    _U64,
+)
+for _table in (_TENS, _FIRST_BYTES, _HEADS):
+    _table.setflags(write=False)
 _SLOT = r'"\\u0000(\d+)\\u0000"'  # an array's placeholder, as json.dumps writes it
 
 
@@ -147,7 +177,12 @@ def parse_args(argv) -> RunConfig:
 def _float_texts(column, precision: int, as_json: bool = False) -> list[str]:
     """The `%.{precision}g` text of each value of a 1-d float array; as JSON,
     spelled the way json writes float(text). A column whose entries share
-    one bit pattern is formatted once."""
+    one bit pattern is formatted once.
+
+    This is the per-float route: one Python format call per value. The
+    exporter takes it for chunks shorter than CROSSOVER and precisions above
+    13, and `_float_cells`' numpy kernel sends it the few values it does not
+    format itself."""
     if len(column) > 1 and _one_bit_pattern(column):
         return _float_texts(column[:1], precision, as_json) * len(column)
     values = column.tolist()
@@ -199,25 +234,149 @@ def _json_spelling(text: str) -> str:
     return repr(value)  # "1e+12" -> "1000000000000.0"; "4.94065645841e-324" -> "5e-324"
 
 
+def _text_cells(texts: list[str]) -> np.ndarray:
+    """Texts as the rows of a uint8 matrix, each padded with 0 bytes."""
+    return np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
+
+
+def _float_cells(column, precision: int, as_json: bool = False) -> np.ndarray:
+    """`_float_texts(column, precision, as_json)` as an `(n, W)` uint8 matrix
+    whose nonzero bytes in each row spell that row's text; a column of one
+    bit pattern gives a single row, which broadcasts.
+
+    numpy formats the column, for precisions p up to 13 on a little-endian
+    host. With e = floor(log10|x|), m = rint(|x| * 10**(p - 1 - e)) holds
+    the p significant digits; the scaling takes one rounding for
+    |p - 1 - e| <= 22 and two above. m's digits come out one per byte of two
+    uint64 words: four digits per 32-bit lane, then two per 16-bit lane,
+    then one per byte. The digits after the last nonzero one, or after the
+    integer part if that is longer, are masked to 0. A cell is the sign and
+    any "0." and zeros, right-aligned in six bytes, then the digits with a
+    slot for the point after each digit that needs one, then "e", the
+    exponent's sign and its digits; a slot a value does not use stays 0.
+
+    The per-float route writes the cells of zeros, values below 1e-296
+    (subnormals among them), non-finite values, scaled fractions within
+    2**-49 * 10**p (at least 4 ulp) of one half, digits m outside
+    [10**(p - 1), 10**p) (an off-by-one e, or a carry into the next decade),
+    and in JSON integral and "e+XX" texts, which json spells otherwise."""
+    n = len(column)
+    if n > 1 and _one_bit_pattern(column):
+        return _float_cells(column[:1], precision, as_json)
+    if n == 1:
+        return _text_cells(_float_texts(column, precision, as_json))
+    p = precision
+    size = np.abs(column)
+    ok = (size >= 1e-296) & (size <= sys.float_info.max)  # NaN fails both
+    size = np.where(ok, size, 1.0)
+    e = np.floor(np.log10(size)).astype(np.intp)
+    at = (p - 1 + _TENS_AT) - e  # 10**(p - 1 - e) as a factor and a divisor, one of them 1
+    y = size * _TENS[0].take(at) / _TENS[1].take(at)
+    m = np.rint(y)
+    ok &= (y >= 10.0 ** (p - 1)) & (m < 10.0**p) & (np.abs(y - m) < 0.5 - 2.0**-49 * 10.0**p)
+    m = np.where(ok, m, 10.0 ** (p - 1))
+    # m // 10**8 and m % 10**8, then four digits per 32-bit lane (each float
+    # floor is exact: 1e-8 and 1e-4 round up), two per 16-bit lane, one per byte
+    words = np.empty((n, 2))
+    words[:, 0] = np.floor(m * 1e-8)
+    words[:, 1] = m - words[:, 0] * 1e8
+    high = np.floor(words * 1e-4)
+    x = high.astype(_U64) | ((words - high * 1e4).astype(_U64) << _U64(32))
+    high = ((x * _U64(10486)) >> _U64(20)) & _U64(0x0000007F0000007F)  # v // 100 for v < 10**4
+    x = high | ((x - high * _U64(100)) << _U64(16))
+    high = ((x * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)  # v // 10 for v < 100
+    x = high | ((x - high * _U64(10)) << _U64(8))
+    # digits up to the last nonzero one: a word's bit length, in bytes (a
+    # digit byte is below 16, so the float conversion cannot round it up)
+    length = (np.frexp(x.astype(float))[1] + 7) >> 3
+    kept = np.where(x[:, 1] != 0, 8 + length[:, 1], length[:, 0]) - (16 - p)
+    fixed = (e >= -4) & (e < p)
+    whole = fixed & (e >= 0)  # e + 1 digits before the point
+    if as_json:
+        ok &= ~(whole & (kept <= e + 1)) & (fixed | (e < 0))
+    kept = np.where(whole, np.maximum(kept, e + 1), kept)
+    digits = ((x | _BYTES * _U64(0x30)) & np.take(_FIRST_BYTES, 16 - p + kept, axis=0)).view(np.uint8)[:, 16 - p :]
+    point = np.where(whole, e, np.where(fixed, -1, 0))  # the digit the point follows
+    point = np.where(kept > point + 1, point, -1)
+    last = int(point.max())  # point slots after digits 0..last
+    expo = ~fixed
+    has_expo = bool(expo.any())
+    wide = has_expo and bool((np.abs(e[expo]) >= 100).any())  # three exponent digits
+    cells = np.zeros((n, 6 + p + last + 1 + has_expo * (4 + wide)), np.uint8)
+    lead = np.where(fixed & (e < 0), 1 - e, 0)  # "0." and -e - 1 zeros
+    cells[:, :6] = _HEADS.take(6 * np.signbit(column) + lead).view(np.uint8).reshape(n, 8)[:, 2:]
+    cells[:, 6 : 6 + 2 * last + 2 : 2] = digits[:, : last + 1]
+    cells[:, 7 : 7 + 2 * last + 2 : 2] = np.where(np.arange(last + 1) == point[:, None], 46, 0)
+    at = 6 + p + last + 1
+    cells[:, 6 + 2 * last + 2 : at] = digits[:, last + 1 :]
+    if has_expo:  # "e", the sign, and two or three digits
+        cells[:, at] = np.where(expo, 101, 0)
+        cells[:, at + 1] = np.where(expo, np.where(e < 0, 45, 43), 0)
+        if wide:
+            cells[:, at + 2] = np.where(expo & (np.abs(e) >= 100), 48 + np.abs(e) // 100, 0)
+        tens = _PAIRS.take(np.abs(e) % 100).view(np.uint8).reshape(n, 2)
+        cells[:, at + 2 + wide :] = np.where(expo[:, None], tens, 0)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        texts = _text_cells(_float_texts(column[rest], p, as_json))
+        if texts.shape[1] > cells.shape[1]:
+            cells = np.pad(cells, ((0, 0), (0, texts.shape[1] - cells.shape[1])))
+        cells[rest] = 0
+        cells[rest, : texts.shape[1]] = texts
+    return cells
+
+
+def _write_rows(write, columns, literals, precision: int, as_json: bool, sep: str = "") -> None:
+    """Write the rows `literals[0] cell literals[1] ... cell literals[-1]`,
+    one float cell per column, joined by sep, in chunks of ROWS rows. A
+    column is a float array, or a list of its texts when it is shorter than
+    CROSSOVER. A chunk of CROSSOVER rows or more, at precision 13 or less,
+    puts its cells and literals side by side in one uint8 matrix, whose
+    nonzero bytes are the chunk's text; a shorter chunk, or a higher
+    precision, splices the per-float texts between the literals."""
+    n = len(columns[0])
+    literals = [*literals[:-1], literals[-1] + sep]
+    encoded = [text.encode("ascii") for text in literals]
+    for start in range(0, n, ROWS):
+        if min(ROWS, n - start) < CROSSOVER or precision > 13 or sys.byteorder != "little":
+            # the per-float texts, spliced between the literals
+            parts = [repeat(literals[0])]
+            for column, literal in zip(columns, literals[1:]):
+                column = column[start : start + ROWS]
+                parts += [column if isinstance(column, list) else _float_texts(column, precision, as_json), repeat(literal)]
+            text = "".join(chain.from_iterable(zip(*parts)))
+            write(text[: len(text) - len(sep)] if start + ROWS >= n else text)
+            continue
+        cells = [_float_cells(column[start : start + ROWS], precision, as_json) for column in columns]
+        # every row starts as the literals and the one-row cells, with 0 where the other cells go
+        template = encoded[0] + b"".join(
+            (cell.tobytes() if len(cell) == 1 else bytes(cell.shape[1])) + literal
+            for cell, literal in zip(cells, encoded[1:])
+        )
+        rows = np.empty((min(ROWS, n - start), len(template)), np.uint8)
+        rows[:] = np.frombuffer(template, np.uint8)
+        at = len(encoded[0])
+        for cell, literal in zip(cells, encoded[1:]):
+            if len(cell) > 1:
+                rows[:, at : at + cell.shape[1]] = cell
+            at += cell.shape[1] + len(literal)
+        del cells
+        if start + ROWS >= n and sep:  # no separator after the last row
+            rows[-1, at - len(sep) :] = 0
+        text = rows[rows != 0]
+        del rows
+        write(text.tobytes().decode("ascii"))
+
+
 def _write_array(write, array, precision: int, pad: str) -> None:
     """A 1-d grid, or `(n, 3)` rows each on one line, as json.dumps(indent=2)
     writes a list at indent `pad`, in chunks of ROWS rows."""
     sep = f",\n{pad}  "
     write(f"[\n{pad}  ")
-    for start in range(0, len(array), ROWS):
-        block = array[start : start + ROWS]
-        if start:
-            write(sep)
-        if block.ndim == 1:
-            write(sep.join(_float_texts(block, precision, True)))
-            continue
-        # every row's texts and separators in one list, joined once: a string
-        # per row would be one more copy of the chunk's text until the join
-        parts = ["[", "", ", ", "", ", ", "", "]", sep] * len(block)
-        for j in range(3):
-            parts[1 + 2 * j :: 8] = _float_texts(block[:, j], precision, True)
-        parts.pop()  # no separator after the last row
-        write("".join(parts))
+    if array.ndim == 1:
+        _write_rows(write, [array], ["", ""], precision, True, sep)
+    else:
+        _write_rows(write, list(array.T), ["[", ", ", ", ", "]"], precision, True, sep)
     write(f"\n{pad}]")
 
 
@@ -246,16 +405,11 @@ def _render_csv(report: ScenarioReport, precision: int):
 
     def render(write) -> None:
         write("t,arm,sigma1,sigma2,sigma3\n")
-        # every arm is on the report's one grid: its chunk texts, kept joined
-        grid_chunks = [
-            "\n".join(_float_texts(report.times[start : start + ROWS], precision))
-            for start in range(0, len(report.times), ROWS)
-        ]
+        times = report.times
+        if len(times) < CROSSOVER:  # formatted once, for every arm
+            times = _float_texts(times, precision)
         for arm_name, points in report.arms.items():
-            for start, times in zip(range(0, len(points), ROWS), grid_chunks):
-                block = points[start : start + ROWS]
-                columns = [_float_texts(block[:, j], precision) for j in range(3)]
-                write("\n".join(map(",".join, zip(times.split("\n"), repeat(str(arm_name)), *columns))) + "\n")
+            _write_rows(write, [times, *points.T], ["", f",{arm_name},", ",", ",", "\n"], precision, False)
 
     return render
 

@@ -63,10 +63,15 @@ def grid_points(t_max: float, dt: float) -> int:
     return count + 1 if dt * count >= t_max - 1e-9 * dt else count + 2
 
 
-def _rotation_points(b0: BlochVector, omega: float, times: np.ndarray) -> np.ndarray:
-    angles = float(omega) * times
-    c = np.cos(angles)
-    s = np.sin(angles)
+def _rotation_points(b0: BlochVector, omega: float, times: np.ndarray, turns: dict | None = None) -> np.ndarray:
+    """b0 rotated about axis 3 at rate omega, at each time. `turns` keeps the
+    cos and sin of each rate's angles for later calls on the same grid."""
+    turns = {} if turns is None else turns
+    key = float(omega).hex()  # not the float: 0.0 and -0.0 turn alike but give zeros of different signs
+    if key not in turns:
+        angles = float(omega) * times
+        turns[key] = np.cos(angles), np.sin(angles)
+    c, s = turns[key]
     points = np.empty((times.size, 3))
     points[:, 0] = b0.s1 * c - b0.s2 * s
     points[:, 1] = b0.s2 * c + b0.s1 * s
@@ -75,7 +80,7 @@ def _rotation_points(b0: BlochVector, omega: float, times: np.ndarray) -> np.nda
 
 
 def evolve_ensemble(
-    ensemble: Ensemble, policy: EvolutionPolicy, epsilon: float, times
+    ensemble: Ensemble, policy: EvolutionPolicy, epsilon: float, times, turns: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bloch trajectory of the system spin under the chosen evolution policy,
     and its linearity control: two `(len(times), 3)` arrays of Bloch vectors,
@@ -88,7 +93,9 @@ def evolve_ensemble(
 
     The trajectory rotates each vector at its own rate 2 * epsilon * s3; the
     control rotates the same vectors at the fixed rate 2 * epsilon, under
-    which the two policies cannot be told apart.
+    which the two policies cannot be told apart. Calls on one grid that share
+    a `turns` dict evaluate cos and sin once per distinct rate: the control's
+    rate is shared by every branch.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -96,13 +103,13 @@ def evolve_ensemble(
     eps = float(epsilon)
     if policy is EvolutionPolicy.AGGREGATE_MEANS:
         b0 = reduced_bloch(ensemble)
-        return _rotation_points(b0, 2.0 * eps * b0.s3, times), _rotation_points(b0, 2.0 * eps, times)
+        return _rotation_points(b0, 2.0 * eps * b0.s3, times, turns), _rotation_points(b0, 2.0 * eps, times, turns)
     if policy is not EvolutionPolicy.BRANCH_MEANS:
         raise ValueError(f"unknown evolution policy {policy!r}")
     points = np.zeros((times.size, 3))
     control = np.zeros((times.size, 3))
     for branch in ensemble.branches:
         b = branch_bloch(branch)
-        points += branch.weight * _rotation_points(b, 2.0 * eps * b.s3, times)
-        control += branch.weight * _rotation_points(b, 2.0 * eps, times)
+        points += branch.weight * _rotation_points(b, 2.0 * eps * b.s3, times, turns)
+        control += branch.weight * _rotation_points(b, 2.0 * eps, times, turns)
     return points, control

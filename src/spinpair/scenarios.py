@@ -316,13 +316,20 @@ def _classical_checks(cfg, times, arm_a, arm_b, divergence, extras):
     )
 
 
-def _changed_extras(cfg, preps):
-    rho_a, rho_b = (density_of(prep) for prep in preps)
+def _density_gaps(prep_a: Ensemble, prep_b: Ensemble) -> dict:
+    rho_a, rho_b = density_of(prep_a), density_of(prep_b)
     return {
-        "preparation_branches": dict(zip(ARM_KEYS, map(_describe_ensemble, preps))),
         "reduced_density_gap": _max_abs(trace_out_remote(rho_a) - trace_out_remote(rho_b)),
         "composite_density_gap": _max_abs(rho_a - rho_b),
     }
+
+
+# sec7's preparations are the constants above, so their gaps are computed once
+_CHANGED_GAPS = _density_gaps(UPDOWN_PREPARATION, DIAG_PREPARATION)
+
+
+def _changed_extras(cfg, preps):
+    return {"preparation_branches": dict(zip(ARM_KEYS, map(_describe_ensemble, preps))), **_CHANGED_GAPS}
 
 
 def _changed_checks(cfg, times, arm_a, arm_b, divergence, extras):
@@ -467,17 +474,18 @@ def run_scenario(scenario: ScenarioId, cfg: ScenarioConfig) -> ScenarioReport:
         return ScenarioReport(scenario, cfg, None, {}, divergence, narrative, checks)
 
     times = time_grid(cfg.t_max, cfg.dt)
+    turns = {}  # cos and sin per distinct rate, shared by every rotation of the run
     arms, controls, outcomes, per_outcome = {}, {}, {}, {}
     for key, arm, prepared in zip(ARM_KEYS, spec.arms, preps):
         if arm.basis is None:
-            arms[key], controls[key] = evolve_ensemble(prepared, arm.policy, cfg.epsilon, times)
+            arms[key], controls[key] = evolve_ensemble(prepared, arm.policy, cfg.epsilon, times, turns)
             continue
         points = np.zeros((times.size, 3))
         control = np.zeros((times.size, 3))
         outcomes[key] = []
         for outcome in measure_all(prepared, arm.basis):
             post = outcome.post_state
-            traj, fixed = evolve_ensemble(post, arm.policy, cfg.epsilon, times)
+            traj, fixed = evolve_ensemble(post, arm.policy, cfg.epsilon, times, turns)
             points += outcome.probability * traj
             control += outcome.probability * fixed
             per_outcome[f"{key}/outcome{outcome.outcome_index}"] = traj

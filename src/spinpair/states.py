@@ -170,7 +170,7 @@ def product_ensemble(
     sys_parts = _weighted_parts(system_parts, "system")
     rem_parts = _weighted_parts(remote_parts, "remote")
     branches = tuple(
-        Branch(ws * wr, np.kron(vs, vr))
+        Branch(ws * wr, np.outer(vs, vr).ravel())
         for ws, vs in sys_parts
         for wr, vr in rem_parts
     )
@@ -200,7 +200,7 @@ def correlated_ensemble(
         raise ValueError(f"remote marker states must be orthogonal, got overlap {overlap:.3e}")
     return Ensemble(
         (
-            Branch(p, np.kron(checked(system_a, "system_a", (2,)), ra)),
-            Branch(1.0 - p, np.kron(checked(system_b, "system_b", (2,)), rb)),
+            Branch(p, np.outer(checked(system_a, "system_a", (2,)), ra).ravel()),
+            Branch(1.0 - p, np.outer(checked(system_b, "system_b", (2,)), rb).ravel()),
         )
     )

@@ -294,6 +294,28 @@ class TestEvolveEnsemble:
         for before, after in zip(original, permuted):  # the trajectory and its control
             assert np.max(np.abs(before - after)) < 1e-12
 
+    def test_shared_turns_give_the_same_bits(self):
+        """Calls that share a `turns` dict evaluate cos and sin once per
+        distinct rate, with every output bit as it is without the dict. A
+        zero rate of either sign is its own rate: -0.0 turns zeros negative."""
+        times = time_grid(5.0, 1e-2)
+        ensembles = [
+            self.make_uncorrelated(0.75),
+            correlated_ensemble(0.5, UP, UP, DOWN, DOWN),
+            correlated_ensemble(0.25, DIAG_PLUS, UP, DIAG_MINUS, DOWN),
+            Ensemble((Branch(1.0, np.kron(DIAG_PLUS, UP)),)),
+        ]
+        turns, rotations = {}, 0
+        for ens, eps, policy in itertools.product(ensembles, (0.4, -1.0), EvolutionPolicy):
+            alone = evolve_ensemble(ens, policy, eps, times)
+            shared = evolve_ensemble(ens, policy, eps, times, turns)
+            for before, after in zip(alone, shared):
+                np.testing.assert_array_equal(before.view(np.uint64), after.view(np.uint64))
+            rotations += 2 * (len(ens.branches) if policy is EvolutionPolicy.BRANCH_MEANS else 1)
+        # the correlated up/down mixture's aggregate s3 is 0.0, so its rate is 0.0 * eps
+        assert {(0.0).hex(), (-0.0).hex()} <= set(turns)
+        assert len(turns) == 14 < rotations == 44
+
     def test_entangled_branch_rejected_under_branch_means(self):
         ens = Ensemble((Branch(1.0, SINGLET),))
         with pytest.raises(NotProductError):

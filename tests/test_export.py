@@ -84,6 +84,97 @@ def test_powers_of_two_match_the_per_float_route(sign):
         ]
 
 
+def neighbour(x, side):
+    """x, or the next float above (side 1) or below (side -1) it."""
+    with np.errstate(over="ignore"):  # beyond the largest float lies inf
+        return x if side == 0 else float(np.nextafter(x, side * np.inf))
+
+
+# Floats that the numpy formatter must round as the per-float route does:
+# halfway cases at every digit position and their neighbours, values that
+# round up into the next decade (and so into another form), signed zeros and
+# subnormals, integral values, and values in exponent form.
+KERNEL_FLOATS = st.one_of(
+    st.sampled_from(EDGE_FLOATS + [9.99999999999995e-05, 9.999999999995, 9.9999995, 0.000999999999999995]),
+    st.builds(
+        lambda k, j, side: neighbour((k + 0.5) * 10.0**-j, side),
+        st.integers(0, 10**14), st.integers(-5, 25), st.sampled_from([-1, 0, 1]),
+    ),
+    st.builds(
+        lambda j, gap, side: neighbour(10.0**j * (1.0 - gap), side),
+        st.integers(-300, 300), st.sampled_from([0.0, 5e-7, 5e-13, 5e-14, 5e-15, 2e-16]), st.sampled_from([-1, 0, 1]),
+    ),
+    st.integers(-(10**17), 10**17).map(float),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    values=st.lists(KERNEL_FLOATS, min_size=1, max_size=32),
+    negate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    precision=st.integers(6, 17),
+    as_json=st.booleans(),
+)
+@example(values=[9.99999999999995e-05, 9.999999999995, 0.0, -0.0, 5e-324], negate=False, seed=0, precision=12, as_json=True)
+@example(values=[1e12, 1e13, 123456.0, 2.0**53], negate=True, seed=1, precision=12, as_json=False)
+def test_long_columns_match_the_per_float_route(values, negate, seed, precision, as_json):
+    """A column of CROSSOVER values, which numpy formats up to precision 13:
+    the drawn values, the float nearest the decimal halfway between each
+    one's two neighbours at this precision and that float's own neighbours,
+    at random places among values of a trajectory's size, written by the row
+    emitter as one value per line."""
+    halves = [float("5e".join(f"{x:.{precision - 1}e}".split("e"))) for x in values]
+    values = values + [y for x in halves for y in (neighbour(x, -1), x, neighbour(x, 1)) if np.isfinite(y)]
+    rng = np.random.default_rng(seed)
+    column = rng.uniform(-1.0, 1.0, cli.CROSSOVER)
+    column[rng.choice(cli.CROSSOVER, len(values), replace=False)] = values
+    if negate:
+        column = -column
+    expected = [format(x, f".{precision}g") for x in column.tolist()]
+    if as_json:
+        expected = [repr(float(text)) for text in expected]
+    written = []
+    cli._write_rows(written.append, [column], ["", ""], precision, as_json, "\n")
+    assert "".join(written).split("\n") == expected
+
+
+def nonconstant_chunks(report):
+    """Every chunk of ROWS values of the report's grid and of each column of
+    its trajectories, but for columns of one bit pattern."""
+    arrays = [report.times, *report.arms.values(), *report.narrative["per_outcome_trajectories"].values()]
+    for array in arrays:
+        for column in array.reshape(len(array), -1).T:
+            for start in range(0, len(column), cli.ROWS):
+                chunk = column[start : start + cli.ROWS]
+                if not cli._one_bit_pattern(chunk):
+                    yield chunk
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("scenario", [scenario for scenario, spec in SPECS.items() if spec.arms])
+def test_numpy_formats_nearly_every_value_of_a_default_report(scenario, as_json):
+    """At most 1% of the values in the default reports' varying columns go
+    to the per-float route, so a change that quietly sends every value back
+    through Python fails here."""
+    per_float = []
+
+    def count(column, precision, as_json=False):
+        per_float.append(len(column))
+        return texts(column, precision, as_json)
+
+    texts = cli._float_texts
+    total = 0
+    with mock.patch.object(cli, "_float_texts", count):
+        for chunk in nonconstant_chunks(run_scenario(scenario, ScenarioConfig())):
+            assert len(chunk) >= cli.CROSSOVER
+            cli._float_cells(chunk, 12, as_json)
+            total += len(chunk)
+    assert sum(per_float) <= 0.01 * total
+
+
 ARM_SCENARIOS = [scenario for scenario, spec in SPECS.items() if spec.arms]
 
 
@@ -135,6 +226,16 @@ def test_grids_at_a_chunk_boundary_match_the_per_float_route(rows, points):
     report = run_scenario(ScenarioId.ENTANGLEMENT, ScenarioConfig(t_max=points - 1, dt=1.0))
     assert len(report.arms["armA"]) == points
     assert_matches_the_oracle(report, 12, [rows])
+
+
+@pytest.mark.parametrize("precision", [6, 12, 13, 16])
+@pytest.mark.parametrize("scenario", [ScenarioId.NO_CORRELATIONS, ScenarioId.ENTANGLEMENT])
+def test_long_chunks_match_the_per_float_route(scenario, precision):
+    """Chunks of CROSSOVER rows, which numpy formats up to precision 13, and
+    a last chunk of one row, which takes the per-float route."""
+    report = run_scenario(scenario, ScenarioConfig(p=0.637218, epsilon=1.481537, t_max=2.0, dt=2.0 / (2 * cli.CROSSOVER)))
+    assert len(report.times) == 2 * cli.CROSSOVER + 1
+    assert_matches_the_oracle(report, precision, [cli.CROSSOVER])
 
 
 def nested_report(narrative_extra=None):

@@ -3,7 +3,8 @@
 A fresh interpreter imports spinpair.cli under a sys.settrace hook that
 records each code object it enters, then runs the command line at small
 sizes: every command, every scenario in both formats at each precision path,
-both sec8 bases, output to a file and to stdout, and the error cases. A def
+both sec8 bases, a grid long enough for the numpy formatter, output to a file
+and to stdout, and the error cases. A def
 that none of them enters is dead surface: it goes, or its test-only use
 moves into tests/oracles.py or tests/random_inputs.py. EXEMPT names the
 defs that stay on purpose; one of them, with the call shapes pinned below,
@@ -95,6 +96,8 @@ COMMANDS = [
     ),
     ["run", "sec8", *SMALL, "--basis", "updown"],
     ["run", "sec8", *SMALL, "--basis", "diag", "--format", "json"],
+    # a grid of cli.CROSSOVER points or more, which numpy formats
+    *(["run", "sec8", "--t-max", "1", "--dt", "0.002", "--format", fmt] for fmt in ("csv", "json")),
     # error cases, each ending in exit 1
     [],
     ["run", "sec9"],
@@ -178,4 +181,4 @@ def test_every_def_in_src_runs_in_some_command():
     assert set(EXEMPT) <= set(defs.values()), "an exemption names a def that no longer exists"
     never = sorted(name for key, name in defs.items() if key not in entered and name not in EXEMPT)
     assert never == [], f"defs that no command enters: {never}"
-    assert codes == [0] * 38 + [1] * 7 + [0, 1, 0]  # the commands, stdout, missing dir, entry
+    assert codes == [0] * 40 + [1] * 7 + [0, 1, 0]  # the commands, stdout, missing dir, entry
