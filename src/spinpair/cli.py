@@ -7,19 +7,12 @@ invocations produce byte-identical files.
 A report holds one time grid, `report.times`, and every trajectory as an
 `(n, 3)` points array on it. JSON (schema version 2) writes the grid once, as
 the top-level `times` of a run with arms, and each trajectory as
-`{"points": [...]}`, one `[s1, s2, s3]` row per line.
-
-One row emitter, `_write_rows`, writes JSON's `[s1, s2, s3]` rows and 1-d
-grid and CSV's `t,arm,s1,s2,s3` rows, ROWS rows at a time. A chunk of
-CROSSOVER rows or more is one uint8 matrix: numpy formats each float column
-into fixed-width cells (`_float_cells`), the literal separators fill the
-columns between them, and the matrix's nonzero bytes are the chunk's text. A
-column of one bit pattern is formatted once. The few values the numpy
-formatter cannot round with certainty (near a half, zeros, subnormals,
-JSON's integral texts) take the per-float route, `_float_texts`, one Python
-format call per value; so do shorter chunks and precisions above 13, whose
-texts are spliced between the literals. A grid shorter than CROSSOVER is
-formatted once for all CSV arms.
+`{"points": [...]}`, one `[s1, s2, s3]` row per line. One row emitter writes
+those rows, the JSON grid and the CSV's `t,arm,s1,s2,s3` rows. From CROSSOVER
+rows on, a chunk is one uint8 matrix of numpy-formatted float cells and
+literal separators, read off as its nonzero bytes; the values numpy cannot
+round with certainty, shorter chunks and precisions above 13 take the
+per-float route.
 """
 
 from __future__ import annotations
@@ -177,12 +170,8 @@ def parse_args(argv) -> RunConfig:
 def _float_texts(column, precision: int, as_json: bool = False) -> list[str]:
     """The `%.{precision}g` text of each value of a 1-d float array; as JSON,
     spelled the way json writes float(text). A column whose entries share
-    one bit pattern is formatted once.
-
-    This is the per-float route: one Python format call per value. The
-    exporter takes it for chunks shorter than CROSSOVER and precisions above
-    13, and `_float_cells`' numpy kernel sends it the few values it does not
-    format itself."""
+    one bit pattern is formatted once. This is the per-float route, one Python
+    call per value, for short chunks, high precisions and `_float_cells`' rest."""
     if len(column) > 1 and _one_bit_pattern(column):
         return _float_texts(column[:1], precision, as_json) * len(column)
     values = column.tolist()
@@ -261,17 +250,15 @@ def _float_cells(column, precision: int, as_json: bool = False) -> np.ndarray:
     [10**(p - 1), 10**p) (an off-by-one e, or a carry into the next decade),
     and in JSON integral and "e+XX" texts, which json spells otherwise."""
     n = len(column)
-    if n > 1 and _one_bit_pattern(column):
-        return _float_cells(column[:1], precision, as_json)
-    if n == 1:
-        return _text_cells(_float_texts(column, precision, as_json))
+    if n == 1 or _one_bit_pattern(column):
+        return _text_cells(_float_texts(column[:1], precision, as_json))
     p = precision
     size = np.abs(column)
     ok = (size >= 1e-296) & (size <= sys.float_info.max)  # NaN fails both
     size = np.where(ok, size, 1.0)
     e = np.floor(np.log10(size)).astype(np.intp)
-    at = (p - 1 + _TENS_AT) - e  # 10**(p - 1 - e) as a factor and a divisor, one of them 1
-    y = size * _TENS[0].take(at) / _TENS[1].take(at)
+    scale = (p - 1 + _TENS_AT) - e  # 10**(p - 1 - e) as a factor and a divisor, one of them 1
+    y = size * _TENS[0].take(scale) / _TENS[1].take(scale)
     m = np.rint(y)
     ok &= (y >= 10.0 ** (p - 1)) & (m < 10.0**p) & (np.abs(y - m) < 0.5 - 2.0**-49 * 10.0**p)
     m = np.where(ok, m, 10.0 ** (p - 1))
@@ -328,12 +315,10 @@ def _float_cells(column, precision: int, as_json: bool = False) -> np.ndarray:
 
 def _write_rows(write, columns, literals, precision: int, as_json: bool, sep: str = "") -> None:
     """Write the rows `literals[0] cell literals[1] ... cell literals[-1]`,
-    one float cell per column, joined by sep, in chunks of ROWS rows. A
-    column is a float array, or a list of its texts when it is shorter than
-    CROSSOVER. A chunk of CROSSOVER rows or more, at precision 13 or less,
-    puts its cells and literals side by side in one uint8 matrix, whose
-    nonzero bytes are the chunk's text; a shorter chunk, or a higher
-    precision, splices the per-float texts between the literals."""
+    one float cell per column (a float array, or the texts of one shorter
+    than CROSSOVER), joined by sep, in chunks of ROWS rows. A chunk of
+    CROSSOVER rows or more puts its cells and literals side by side in one
+    uint8 matrix, whose nonzero bytes are its text."""
     n = len(columns[0])
     literals = [*literals[:-1], literals[-1] + sep]
     encoded = [text.encode("ascii") for text in literals]
