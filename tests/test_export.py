@@ -84,6 +84,9 @@ def test_powers_of_two_match_the_per_float_route(sign):
         ]
 
 
+ARM_SCENARIOS = [scenario for scenario, spec in SPECS.items() if spec.arms]
+
+
 def neighbour(x, side):
     """x, or the next float above (side 1) or below (side -1) it."""
     with np.errstate(over="ignore"):  # beyond the largest float lies inf
@@ -154,18 +157,17 @@ def nonconstant_chunks(report):
 
 
 @pytest.mark.parametrize("as_json", [False, True])
-@pytest.mark.parametrize("scenario", [scenario for scenario, spec in SPECS.items() if spec.arms])
+@pytest.mark.parametrize("scenario", ARM_SCENARIOS)
 def test_numpy_formats_nearly_every_value_of_a_default_report(scenario, as_json):
     """At most 1% of the values in the default reports' varying columns go
     to the per-float route, so a change that quietly sends every value back
     through Python fails here."""
-    per_float = []
+    per_float, texts = [], cli._float_texts
 
     def count(column, precision, as_json=False):
         per_float.append(len(column))
         return texts(column, precision, as_json)
 
-    texts = cli._float_texts
     total = 0
     with mock.patch.object(cli, "_float_texts", count):
         for chunk in nonconstant_chunks(run_scenario(scenario, ScenarioConfig())):
@@ -173,9 +175,6 @@ def test_numpy_formats_nearly_every_value_of_a_default_report(scenario, as_json)
             cli._float_cells(chunk, 12, as_json)
             total += len(chunk)
     assert sum(per_float) <= 0.01 * total
-
-
-ARM_SCENARIOS = [scenario for scenario, spec in SPECS.items() if spec.arms]
 
 
 # Row counts a trajectory is cut into: one and two rows per chunk, a count
