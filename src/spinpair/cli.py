@@ -460,12 +460,7 @@ def _write_file(path: str, render) -> None:
 
 def emit_report(report: ScenarioReport, cfg: RunConfig) -> int:
     """Write the report in the configured format; 0 if all contracts hold, else 2."""
-    if cfg.fmt == "csv":
-        render = _render_csv(report, cfg.precision)
-    elif cfg.fmt == "json":
-        render = _render_json(report, cfg.precision)
-    else:
-        raise UsageError(f"unknown format {cfg.fmt!r}")
+    render = (_render_csv if cfg.fmt == "csv" else _render_json)(report, cfg.precision)
     if cfg.out is None:
         render(sys.stdout.write)
     else:

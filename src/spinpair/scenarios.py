@@ -153,15 +153,13 @@ class ContractCheck:
     name: str
     value: float
     bound: float
-    comparison: str = "<="
+    comparison: str = "<="  # or ">"
 
     @property
     def passed(self) -> bool:
         if self.comparison == "<=":
             return self.value <= self.bound
-        if self.comparison == ">":
-            return self.value > self.bound
-        raise ValueError(f"unknown comparison {self.comparison!r}")
+        return self.value > self.bound
 
 
 @dataclass(frozen=True, eq=False)

@@ -317,10 +317,6 @@ class TestNoSignallingSuite:
         assert no_signalling_suite(50, 7) == no_signalling_suite(50, 7)
         assert no_signalling_suite(50, 7) != no_signalling_suite(50, 8)
 
-    def test_zero_trials_rejected(self):
-        with pytest.raises(ValueError):
-            no_signalling_suite(0, 1)
-
     def test_memory_stays_within_one_chunk(self):
         """Trials are drawn and evaluated a chunk at a time, so tripling the
         trial count past one chunk must not triple the peak."""

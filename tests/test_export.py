@@ -231,10 +231,15 @@ def test_grids_at_a_chunk_boundary_match_the_per_float_route(rows, points):
 @pytest.mark.parametrize("scenario", [ScenarioId.NO_CORRELATIONS, ScenarioId.ENTANGLEMENT])
 def test_long_chunks_match_the_per_float_route(scenario, precision):
     """Chunks of CROSSOVER rows, which numpy formats up to precision 13, and
-    a last chunk of one row, which takes the per-float route."""
-    report = run_scenario(scenario, ScenarioConfig(p=0.637218, epsilon=1.481537, t_max=2.0, dt=2.0 / (2 * cli.CROSSOVER)))
-    assert len(report.times) == 2 * cli.CROSSOVER + 1
-    assert_matches_the_oracle(report, precision, [cli.CROSSOVER])
+    a last chunk of one row, which takes the per-float route. The tiny
+    epsilons give the formatter's rare cells: negative subnormals, whose
+    per-float texts are wider than its cells, normals below 1e-307, which
+    JSON spells as they are, and three exponent digits."""
+    for epsilon in (1.481537, -1e-310, 1e-307, 1e-200):
+        cfg = ScenarioConfig(p=0.637218, epsilon=epsilon, t_max=2.0, dt=2.0 / (2 * cli.CROSSOVER))
+        report = run_scenario(scenario, cfg)
+        assert len(report.times) == 2 * cli.CROSSOVER + 1
+        assert_matches_the_oracle(report, precision, [cli.CROSSOVER])
 
 
 def nested_report(narrative_extra=None):

@@ -1,14 +1,18 @@
-"""Every function in src/spinpair runs in some spinpair command.
+"""Every line in src/spinpair runs in some spinpair command.
 
 A fresh interpreter imports spinpair.cli under a sys.settrace hook that
-records each code object it enters, then runs the command line at small
-sizes: every command, every scenario in both formats at each precision path,
-both sec8 bases, a grid long enough for the numpy formatter, output to a file
-and to stdout, and the error cases. A def
-that none of them enters is dead surface: it goes, or its test-only use
-moves into tests/oracles.py or tests/random_inputs.py. EXEMPT names the
-defs that stay on purpose; one of them, with the call shapes pinned below,
-is what perfbench's traced run reads.
+records each line it executes in the package, then runs the command line
+at small sizes: every command, every scenario in both formats at each
+precision path, both sec8 bases, grids long enough for the numpy formatter,
+epsilons small enough for its rare cells, output to a file, to stdout, to a
+device, over a stale temporary file and past a file-size limit, `python -m
+spinpair`, and every refusal. Each command carries the exit code it must
+end in. The executable lines are those of every code object compiled from
+the package's files. A line that no command executes is dead: it goes, or a
+command that reaches it joins the list, unless it is a statement of KEEP,
+named by its def and its text, which guards against a state or basis no
+command can build. Two of them are also read by perfbench's traced run,
+whose call shapes are pinned below.
 """
 
 import ast
@@ -17,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -26,13 +31,8 @@ from spinpair.dynamics_nonlinear import evolve_ensemble
 from spinpair.measurement import measure_all
 from spinpair.scenarios import DIAG_BASIS, SINGLET_PREPARATION
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(__file__))), "src")
 PACKAGE = os.path.join(SRC, "spinpair")
-
-EXEMPT = {
-    "measurement.MeasurementBasis.__len__": "perfbench's tracer counts the projectors tried with len(basis)",
-}
-
 
 def test_the_call_shapes_perfbench_reads():
     """perfbench's traced run reads these arguments by position or by name:
@@ -82,103 +82,237 @@ def test_the_trial_count_perfbench_reads(tmp_path):
     assert doc["config"]["trials"] == 37
 
 
+
+
+# Statements that no command executes, kept on purpose: each guards against a
+# state, basis, batch or document that no accepted command can build, and
+# would catch a bug that builds one. Keyed by qualified def and the first line
+# of the statement.
+KEEP = {
+    ("cli._render_json", 'raise RuntimeError(f"{len(pieces) // 2} slots for {len(arrays)} arrays")'):
+        "a placeholder-like string in a report would put an array in the wrong place",
+    ("dynamics_linear._expect", "raise ConsistencyError("):
+        "an imaginary expectation means an operator or a state is not what it claims to be",
+    ("dynamics_linear._require", 'raise ValueError(f"{what} (trial {int(np.argmin(per_trial))} of the batch)")'):
+        "the suite's drawn trials are checked before any gap is computed from them",
+    ("measurement.MeasurementBasis.__post_init__", 'raise ValueError("measurement basis needs at least one projector")'):
+        "a basis without projectors has no outcome to measure",
+    ("measurement.MeasurementBasis.__len__", "return len(self.projectors)"):
+        "perfbench's tracer counts the projectors tried with len(basis)",
+    ("measurement.MeasurementBasis.embedded", 'raise ValueError("invalid measurement basis: " + "; ".join(report.violations))'):
+        "a basis is validated once, at its first measurement",
+    **{
+        ("measurement.validate_basis", f'violations.append(f"{what} (deviation {{dev:.3e}})")'):
+            "names the defect of a basis that is not projective"
+        for what in (
+            "projector {j} is not hermitian",
+            "projector {j} is not idempotent",
+            "projectors {j} and {k} are not orthogonal",
+            "projectors do not sum to the identity",
+        )
+    },
+    ("measurement._collapse", "raise ImpossibleOutcomeError("):
+        "an outcome of zero probability has no post-measurement state",
+    ("qmath.checked", 'expected = " or ".join(map(str, shapes))'): "the text of the shape refusal below",
+    ("qmath.checked", 'raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")'):
+        "every state and projector enters through checked",
+    ("qmath.checked", 'raise ValueError(f"{name} contains non-finite entries")'):
+        "every state and projector enters through checked",
+    ("qmath._real_traces", "raise ConsistencyError("):
+        "an imaginary expectation means an operator or a state is not what it claims to be",
+    ("qmath.projector", 'raise ValueError(f"vector must be normalized, got norm {norm!r}")'):
+        "a projector onto an unnormalized vector is not idempotent",
+    ("states.Branch.__post_init__", 'raise ValueError(f"branch weight must lie in [0, 1], got {weight!r}")'):
+        "a computed weight outside [0, 1] is a bug upstream",
+    ("states.Branch.__post_init__", 'raise ValueError(f"branch vector must be normalized, got norm {norm!r}")'):
+        "a computed branch off the unit sphere is a bug upstream",
+    ("states.Ensemble.__post_init__", 'raise ValueError("ensemble needs at least one branch")'):
+        "a collapse that kept no branch is a bug upstream",
+    ("states.Ensemble.__post_init__", 'raise TypeError(f"ensemble branches must be Branch values, got {type(branch)!r}")'):
+        "only a Branch carries a checked weight and vector",
+    ("states.Ensemble.__post_init__", 'raise ValueError(f"branch weights must sum to 1, got {total!r}")'):
+        "a computed mixture whose weights do not sum to 1 is a bug upstream",
+    ("states.BlochVector.__post_init__", 'raise ValueError("Bloch components must be finite")'):
+        "a non-finite mean value is a bug upstream",
+    ("states.BlochVector.__post_init__", 'raise ValueError(f"Bloch vector lies outside the unit ball (|b|^2 = {norm_sq!r})")'):
+        "a mean value outside the ball is no state",
+    ("states.branch_bloch", "raise NotProductError("):
+        "an entangled branch has no system factor to evolve on its own",
+    ("states._weighted_parts", 'raise ValueError(f"{name} parts must not be empty")'):
+        "a product ensemble needs a part on each side",
+    ("states._weighted_parts", 'raise ValueError(f"{name} weights must sum to 1, got {total!r}")'):
+        "a product ensemble's weights on each side sum to 1",
+    ("states.correlated_ensemble", 'raise ValueError(f"p must lie in [0, 1], got {p!r}")'):
+        "p is a branch weight",
+    ("states.correlated_ensemble", 'raise ValueError(f"remote marker states must be orthogonal, got overlap {overlap:.3e}")'):
+        "markers that overlap do not reveal which branch was prepared",
+}
+
 SMALL = ["--t-max", "1", "--dt", "0.1"]
+LONG = ["--t-max", "1", "--dt", "0.002"]  # 501 points: a chunk of cli.CROSSOVER rows or more, which numpy formats
+OUT = ["--out", "{tmp}/out"]
+# (exit code, argv) or (exit code, argv, how); "{tmp}" is the child's temporary directory
 COMMANDS = [
-    ["list"],
-    ["run", "sec3", "--trials", "10"],
-    ["run", "linear", "--trials", "10"],
-    ["verify-linear", "--trials", "10", "--seed", "3"],
+    (0, ["list"]),
+    (0, ["run", "sec3", "--trials", "10", *OUT]),
+    (0, ["run", "linear", "--trials", "10", *OUT]),
+    (0, ["verify-linear", "--trials", "10", "--seed", "3"]),
     *(
-        ["run", name, *SMALL, "--format", fmt, "--precision", precision]
+        (0, ["run", name, *SMALL, "--format", fmt, "--precision", precision, *OUT])
         for name in ("sec5", "sec6", "sec7", "sec8")
         for fmt in ("csv", "json")
         for precision in ("6", "12", "16", "17")
     ),
-    ["run", "sec8", *SMALL, "--basis", "updown"],
-    ["run", "sec8", *SMALL, "--basis", "diag", "--format", "json"],
-    # a grid of cli.CROSSOVER points or more, which numpy formats
-    *(["run", "sec8", "--t-max", "1", "--dt", "0.002", "--format", fmt] for fmt in ("csv", "json")),
-    # error cases, each ending in exit 1
-    [],
-    ["run", "sec9"],
-    ["run", "sec5", "--precision", "5"],
-    ["run", "sec3", "--format", "csv"],
-    ["run", "sec5", "--p", "2"],
-    ["run", "sec6", "--p", "0"],
-    ["run", "sec6", "--epsilon", "0"],
+    (0, ["run", "sec8", *SMALL, "--basis", "updown", *OUT]),
+    (0, ["run", "sec8", *SMALL, "--basis", "diag", "--format", "json", *OUT]),
+    *((0, ["run", "sec8", *LONG, "--format", fmt, *OUT]) for fmt in ("csv", "json")),
+    # values the numpy formatter leaves to the per-float route (negative
+    # subnormals, whose texts are wider than its cells, and normals below
+    # 1e-307, which JSON spells as they are) or writes with three exponent digits
+    *(
+        (0, ["run", "sec8", *LONG, "--epsilon", epsilon, "--format", fmt, *OUT])
+        for epsilon in ("-1e-310", "1e-307", "1e-200")
+        for fmt in ("csv", "json")
+    ),
+    # where the bytes go
+    (0, ["run", "sec5", *SMALL]),
+    (0, ["run", "sec5", *SMALL, "--out", os.devnull]),
+    (0, ["run", "sec5", *SMALL, *OUT], "stale-temp"),
+    (1, ["run", "sec5", "--out", "{tmp}/missing/out"]),
+    (1, ["run", "sec8", "--format", "json", "--out", "{tmp}/big"], "file-size-limit"),
+    (0, ["list"], "entry"),
+    # refusals
+    (1, []),
+    (1, ["run", "sec9"]),
+    (1, ["run", "sec5", "--precision", "5"]),
+    (1, ["run", "sec3", "--format", "csv"]),
+    (1, ["run", "sec5", "--p", "2"]),
+    (1, ["run", "sec5", "--p", "nan"]),
+    (1, ["run", "sec5", "--dt", "0"]),
+    (1, ["run", "sec5", "--t-max", "0"]),
+    (1, ["run", "sec5", "--t-max", "1", "--dt", "2"]),
+    (1, ["run", "sec5", "--dt", "1e-6"]),
+    (1, ["run", "sec5", "--epsilon", "1e7"]),
+    (1, ["run", "sec5", "--seed", "-1"]),
+    (1, ["verify-linear", "--trials", "0"]),
+    (1, ["run", "sec6", "--p", "0"]),
+    (1, ["run", "sec6", "--epsilon", "0"]),
+    (1, ["run", "sec6", "--epsilon", "1e-14"]),
 ]
 
-# Runs in the child: trace, import, run every command, print what was entered.
+# Runs in the child: trace, import, run every command, print the exit codes,
+# the files left in the output directory and the lines executed.
 CHILD = r"""
-import contextlib, io, json, os, sys, tempfile
+import contextlib, io, json, os, resource, runpy, signal, sys, tempfile
 
 package, commands = sys.argv[1], json.loads(sys.argv[2])
-entered = set()
+executed = set()
+
 
 def trace(frame, event, arg):
-    code = frame.f_code
-    path = os.path.realpath(code.co_filename)
-    if path.startswith(package + os.sep):
-        entered.add((os.path.basename(path), code.co_firstlineno))
+    path = os.path.realpath(frame.f_code.co_filename)
+    if not path.startswith(package + os.sep):
+        return None  # no line events outside the package
 
-import numpy  # imported untraced: only spinpair's own calls matter
+    def lines(frame, event, arg):
+        if event == "line":
+            executed.add((path, frame.f_lineno))
+        return lines
+
+    return lines
+
+
+def run(argv, how=None):
+    argv = [arg.format(tmp=tmp) for arg in argv]
+    if how == "entry":  # as `python -m spinpair`
+        sys.argv = ["spinpair", *argv]
+        try:
+            runpy.run_module("spinpair", run_name="__main__")
+        except SystemExit as exc:
+            return exc.code
+    if how == "stale-temp":  # as a killed run with this pid would leave it
+        open(os.path.join(tmp, f".out.{os.getpid()}.tmp"), "x").close()
+    if how != "file-size-limit":
+        return cli.main(argv)
+    # this process's writes past 1 MiB fail with EFBIG, and SIGXFSZ does not kill it
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, limits[1]))
+    try:
+        return cli.main(argv)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+
+
+import numpy  # imported untraced: only spinpair's own lines matter
 sys.settrace(trace)
 from spinpair import cli
 
 with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
         contextlib.redirect_stderr(io.StringIO()):
-    codes = [cli.main([*argv, "--out", os.path.join(tmp, "out")] if argv[:1] == ["run"] else argv)
-             for argv in commands]
-    codes.append(cli.main(["run", "sec5", "--t-max", "1", "--dt", "0.1"]))  # to stdout
-    codes.append(cli.main(["run", "sec5", "--out", os.path.join(tmp, "missing", "out")]))
-    sys.argv = ["spinpair", "list"]
-    try:
-        cli.entry()
-    except SystemExit as exc:
-        codes.append(exc.code)
+    codes = [run(*command) for command in commands]
+    left = sorted(os.listdir(tmp))
 sys.settrace(None)
-print(json.dumps({"codes": codes, "entered": sorted(entered)}))
+print(json.dumps({"codes": codes, "left": left, "executed": sorted(executed)}))
 """
 
 
-def defined_functions() -> dict:
-    """(file name, first line of the code object) -> module-qualified name,
-    for every def in the package. A decorated def's code starts at its first
-    decorator."""
-    found = {}
-
-    def walk(node, file_name, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found[(file_name, first)] = prefix + child.name
-                walk(child, file_name, f"{prefix}{child.name}.<locals>.")
-            elif isinstance(child, ast.ClassDef):
-                walk(child, file_name, f"{prefix}{child.name}.")
-            else:
-                walk(child, file_name, prefix)
-
-    for file_name in sorted(os.listdir(PACKAGE)):
-        if file_name.endswith(".py"):
-            with open(os.path.join(PACKAGE, file_name), encoding="utf-8") as handle:
-                walk(ast.parse(handle.read()), file_name, file_name[:-3] + ".")
-    return found
-
-
-def entered_by_the_commands() -> tuple[list, set]:
+def run_the_commands() -> tuple[list, list, set]:
     env = {**os.environ, "PYTHONPATH": SRC}
+    commands = json.dumps([command[1:] for command in COMMANDS])
     child = subprocess.run(
-        [sys.executable, "-c", CHILD, os.path.realpath(PACKAGE), json.dumps(COMMANDS)],
+        [sys.executable, "-c", CHILD, PACKAGE, commands],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     result = json.loads(child.stdout.splitlines()[-1])
-    return result["codes"], {tuple(key) for key in result["entered"]}
+    return result["codes"], result["left"], {tuple(key) for key in result["executed"]}
 
 
-def test_every_def_in_src_runs_in_some_command():
-    codes, entered = entered_by_the_commands()
-    defs = defined_functions()
-    assert set(EXEMPT) <= set(defs.values()), "an exemption names a def that no longer exists"
-    never = sorted(name for key, name in defs.items() if key not in entered and name not in EXEMPT)
-    assert never == [], f"defs that no command enters: {never}"
-    assert codes == [0] * 40 + [1] * 7 + [0, 1, 0]  # the commands, stdout, missing dir, entry
+def executable_lines() -> dict:
+    """(path, line) -> (qualified def, statement, line text) for every line
+    that an instruction of the package's compiled code maps to. A line is
+    credited to the innermost code object on it, and a line of a simple
+    statement spanning several is named by the statement's first line."""
+    found = {}
+    for file_name in sorted(os.listdir(PACKAGE)):
+        if not file_name.endswith(".py"):
+            continue
+        path = os.path.join(PACKAGE, file_name)
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+        texts = [line.strip() for line in source.splitlines()]
+        statements = {
+            line: texts[node.lineno - 1]
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.stmt) and not hasattr(node, "body")
+            for line in range(node.lineno, node.end_lineno + 1)
+        }
+        stack = [compile(source, path, "exec")]
+        while stack:
+            code = stack.pop()
+            for *_, line in code.co_lines():
+                if line:  # None, or 0 for a module's first instruction: no source line
+                    name = f"{file_name[:-3]}.{code.co_qualname}"
+                    found[(path, line)] = (name, statements.get(line, texts[line - 1]), texts[line - 1])
+            stack += [const for const in code.co_consts if isinstance(const, types.CodeType)]
+    return found
+
+
+def test_every_line_in_src_runs_in_some_command():
+    codes, left, executed = run_the_commands()
+    wrong = [
+        f"spinpair {' '.join(command[1])}: exit {code}, expected {command[0]}"
+        for command, code in zip(COMMANDS, codes)
+        if code != command[0]
+    ]
+    assert wrong == [], "commands that ended in another exit code:\n" + "\n".join(wrong)
+    assert left == ["out"], "a failed write or a stale temporary file left a file behind"
+    unexecuted = {key: where for key, where in executable_lines().items() if key not in executed}
+    stale = sorted(set(KEEP) - {where[:2] for where in unexecuted.values()})
+    assert stale == [], "kept statements that some command now runs, or that are gone"
+    dead = [
+        f"{os.path.relpath(path, os.path.dirname(SRC))}:{line}: {text}"
+        for (path, line), (name, statement, text) in sorted(unexecuted.items())
+        if (name, statement) not in KEEP
+    ]
+    assert dead == [], "lines that no command executes:\n" + "\n".join(dead)

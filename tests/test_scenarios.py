@@ -76,8 +76,8 @@ class TestScenarioConfig:
             ScenarioConfig(trials=0)
 
     def test_rejects_a_step_longer_than_the_grid(self):
-        """A step past t_max is refused by the config, with time_grid's
-        message, not later by the run."""
+        """A step past t_max is refused by the config, before any grid is
+        built."""
         assert ScenarioConfig(t_max=1, dt=1).dt == 1.0  # two points: 0 and t_max
         with pytest.raises(ValueError, match=r"dt \(2\.0\) must not exceed t_max \(1\.0\)"):
             ScenarioConfig(t_max=1, dt=2)
