@@ -10,9 +10,9 @@ spinpair`, and every refusal. Each command carries the exit code it must
 end in. The executable lines are those of every code object compiled from
 the package's files. A line that no command executes is dead: it goes, or a
 command that reaches it joins the list, unless it is a statement of KEEP,
-named by its def and its text, which guards against a state or basis no
-command can build. Two of them are also read by perfbench's traced run,
-whose call shapes are pinned below.
+named by its def and its text. Those guard against a state, basis, batch
+or document that no accepted command builds, except MeasurementBasis.__len__,
+which perfbench's traced run reads, with the call shapes pinned below.
 """
 
 import ast
@@ -33,6 +33,7 @@ from spinpair.scenarios import DIAG_BASIS, SINGLET_PREPARATION
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(__file__))), "src")
 PACKAGE = os.path.join(SRC, "spinpair")
+
 
 def test_the_call_shapes_perfbench_reads():
     """perfbench's traced run reads these arguments by position or by name:
@@ -101,16 +102,15 @@ KEEP = {
         "perfbench's tracer counts the projectors tried with len(basis)",
     ("measurement.MeasurementBasis.embedded", 'raise ValueError("invalid measurement basis: " + "; ".join(report.violations))'):
         "a basis is validated once, at its first measurement",
-    **{
-        ("measurement.validate_basis", f'violations.append(f"{what} (deviation {{dev:.3e}})")'):
-            "names the defect of a basis that is not projective"
-        for what in (
-            "projector {j} is not hermitian",
-            "projector {j} is not idempotent",
-            "projectors {j} and {k} are not orthogonal",
-            "projectors do not sum to the identity",
-        )
-    },
+    ("measurement.validate_basis", 'violations.append(f"projector {j} is not hermitian (deviation {dev:.3e})")'):
+        "names a defect of a basis that is not projective",
+    ("measurement.validate_basis", 'violations.append(f"projector {j} is not idempotent (deviation {dev:.3e})")'):
+        "names a defect of a basis that is not projective",
+    ("measurement.validate_basis",
+     'violations.append(f"projectors {j} and {k} are not orthogonal (deviation {dev:.3e})")'):
+        "names a defect of a basis that is not projective",
+    ("measurement.validate_basis", 'violations.append(f"projectors do not sum to the identity (deviation {dev:.3e})")'):
+        "names a defect of a basis that is not projective",
     ("measurement._collapse", "raise ImpossibleOutcomeError("):
         "an outcome of zero probability has no post-measurement state",
     ("qmath.checked", 'expected = " or ".join(map(str, shapes))'): "the text of the shape refusal below",
@@ -236,12 +236,13 @@ def run(argv, how=None):
         return cli.main(argv)
     # this process's writes past 1 MiB fail with EFBIG, and SIGXFSZ does not kill it
     limits = resource.getrlimit(resource.RLIMIT_FSIZE)
-    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
     resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, limits[1]))
     try:
         return cli.main(argv)
     finally:
         resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+        signal.signal(signal.SIGXFSZ, handler)
 
 
 import numpy  # imported untraced: only spinpair's own lines matter
