@@ -4,15 +4,17 @@ Exit codes: 0 when every scenario contract holds, 2 when a contract check
 fails, 1 on usage or I/O errors. Output is deterministic: identical
 invocations produce byte-identical files.
 
-A report holds one time grid, `report.times`, and every trajectory as an
-`(n, 3)` points array on it. JSON (schema version 2) writes the grid once, as
-the top-level `times` of a run with arms, and each trajectory as
+A report holds one time grid, `report.times`, and every trajectory as a
+closed form on it. JSON (schema version 2) writes the grid once, as the
+top-level `times` of a run with arms, and each trajectory as
 `{"points": [...]}`, one `[s1, s2, s3]` row per line. One row emitter writes
-those rows, the JSON grid and the CSV's `t,arm,s1,s2,s3` rows. From CROSSOVER
-rows on, a chunk is one uint8 matrix of numpy-formatted float cells and
-literal separators, read off as its nonzero bytes; the values numpy cannot
-round with certainty, shorter chunks and precisions above 13 take the
-per-float route.
+those rows, the JSON grid and the CSV's `t,arm,s1,s2,s3` rows, a chunk of
+ROWS rows at a time: each chunk's points are evaluated from the closed form
+by `Trajectory.rows` as the chunk is written, so no command holds more than
+one chunk of any trajectory. From CROSSOVER rows on, a chunk is one uint8
+matrix of numpy-formatted float cells and literal separators, read off as
+its nonzero bytes; the values numpy cannot round with certainty, shorter
+chunks and precisions above 13 take the per-float route.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from .dynamics_nonlinear import ROWS, Trajectory
 from .scenarios import (
     SPECS,
     BasisChoice,
@@ -40,7 +43,6 @@ from .scenarios import (
 
 ALIASES = {"linear": "sec3"}
 BY_NAME = {spec.name: scenario for scenario, spec in SPECS.items()}
-ROWS = 4096  # array rows rendered and written at a time
 CROSSOVER = 384  # chunk rows from which numpy, not a call per float, formats the floats
 # Tables of the numpy formatter, `_float_cells`. Its uint64 words hold bytes
 # in memory order, so it runs on little-endian hosts only.
@@ -313,26 +315,26 @@ def _float_cells(column, precision: int, as_json: bool = False) -> np.ndarray:
     return cells
 
 
-def _write_rows(write, columns, literals, precision: int, as_json: bool, sep: str = "") -> None:
-    """Write the rows `literals[0] cell literals[1] ... cell literals[-1]`,
-    one float cell per column (a float array, or the texts of one shorter
-    than CROSSOVER), joined by sep, in chunks of ROWS rows. A chunk of
-    CROSSOVER rows or more puts its cells and literals side by side in one
-    uint8 matrix, whose nonzero bytes are its text."""
-    n = len(columns[0])
+def _write_rows(write, n: int, columns, literals, precision: int, as_json: bool, sep: str = "") -> None:
+    """Write n rows `literals[0] cell literals[1] ... cell literals[-1]`,
+    joined by sep, in chunks of ROWS rows; columns(start, stop) gives the
+    chunk's columns, one float cell per column and row (a float array, or
+    the texts of one shorter than CROSSOVER). A chunk of CROSSOVER rows or
+    more puts its cells and literals side by side in one uint8 matrix, whose
+    nonzero bytes are its text."""
     literals = [*literals[:-1], literals[-1] + sep]
     encoded = [text.encode("ascii") for text in literals]
     for start in range(0, n, ROWS):
+        chunk = columns(start, start + ROWS)
         if min(ROWS, n - start) < CROSSOVER or precision > 13 or sys.byteorder != "little":
             # the per-float texts, spliced between the literals
             parts = [repeat(literals[0])]
-            for column, literal in zip(columns, literals[1:]):
-                column = column[start : start + ROWS]
+            for column, literal in zip(chunk, literals[1:]):
                 parts += [column if isinstance(column, list) else _float_texts(column, precision, as_json), repeat(literal)]
             text = "".join(chain.from_iterable(zip(*parts)))
             write(text[: len(text) - len(sep)] if start + ROWS >= n else text)
             continue
-        cells = [_float_cells(column[start : start + ROWS], precision, as_json) for column in columns]
+        cells = [_float_cells(column, precision, as_json) for column in chunk]
         # every row starts as the literals and the one-row cells, with 0 where the other cells go
         template = encoded[0] + b"".join(
             (cell.tobytes() if len(cell) == 1 else bytes(cell.shape[1])) + literal
@@ -354,25 +356,27 @@ def _write_rows(write, columns, literals, precision: int, as_json: bool, sep: st
 
 
 def _write_array(write, array, precision: int, pad: str) -> None:
-    """A 1-d grid, or `(n, 3)` rows each on one line, as json.dumps(indent=2)
-    writes a list at indent `pad`, in chunks of ROWS rows."""
+    """A 1-d grid, or a trajectory's rows each on one line, as
+    json.dumps(indent=2) writes a list at indent `pad`, in chunks of ROWS
+    rows."""
     sep = f",\n{pad}  "
     write(f"[\n{pad}  ")
-    if array.ndim == 1:
-        _write_rows(write, [array], ["", ""], precision, True, sep)
+    if isinstance(array, Trajectory):
+        columns = lambda start, stop: list(array.rows(start, stop).T)
+        _write_rows(write, len(array.times), columns, ["[", ", ", ", ", "]"], precision, True, sep)
     else:
-        _write_rows(write, list(array.T), ["[", ", ", ", ", "]"], precision, True, sep)
+        _write_rows(write, len(array), lambda start, stop: [array[start:stop]], ["", ""], precision, True, sep)
     write(f"\n{pad}]")
 
 
 def _jsonable(value, precision: int, arrays: list):
-    """Report value -> json-ready value; each array becomes a placeholder
-    string naming its index in `arrays`, and a trajectory (a 2-d array) the
-    object `{"points": placeholder}`."""
-    if isinstance(value, np.ndarray):
+    """Report value -> json-ready value; the time grid becomes a placeholder
+    string naming its index in `arrays`, and a trajectory the object
+    `{"points": placeholder}`."""
+    if isinstance(value, (np.ndarray, Trajectory)):
         arrays.append(value)
         slot = f"\0{len(arrays) - 1}\0"
-        return {"points": slot} if value.ndim == 2 else slot
+        return {"points": slot} if isinstance(value, Trajectory) else slot
     if isinstance(value, dict):
         return {str(k): _jsonable(v, precision, arrays) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -393,8 +397,9 @@ def _render_csv(report: ScenarioReport, precision: int):
         times = report.times
         if len(times) < CROSSOVER:  # formatted once, for every arm
             times = _float_texts(times, precision)
-        for arm_name, points in report.arms.items():
-            _write_rows(write, [times, *points.T], ["", f",{arm_name},", ",", ",", "\n"], precision, False)
+        for arm_name, trajectory in report.arms.items():
+            columns = lambda start, stop: [times[start:stop], *trajectory.rows(start, stop).T]
+            _write_rows(write, len(times), columns, ["", f",{arm_name},", ",", ",", "\n"], precision, False)
 
     return render
 
@@ -437,11 +442,14 @@ def _write_file(path: str, render) -> None:
     """Write through a temporary file next to the target, moved into place
     once the whole document is written: a failed render or write leaves no
     partial file, and a file already there keeps its old bytes."""
-    target = os.path.realpath(path)  # replace a symlink's target, not the link
-    if os.path.exists(target) and not os.path.isfile(target):  # /dev/null, a FIFO: nothing to replace
-        with open(target, "w", encoding="utf-8") as handle:
+    # /dev/null, a FIFO, /dev/stdout on a pipe: nothing to replace, so write in
+    # place. Both tests follow symlinks and take the path as given: realpath
+    # turns /dev/stdout on a pipe into a name that no file has.
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
             render(handle.write)
         return
+    target = os.path.realpath(path)  # replace a symlink's target, not the link
     head, tail = os.path.split(target)
     temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:

@@ -7,9 +7,9 @@ outcome and averages the results by outcome probability; an unmeasured arm
 evolves the preparation directly. Each run returns a ScenarioReport with:
 
 * times: the one time grid every trajectory of the run is evaluated on;
-* named arms ("armA", "armB"): the contrasted trajectories, each an
-  `(n, 3)` array holding the system spin's Bloch vector at each of the n
-  grid points;
+* named arms ("armA", "armB"): the contrasted trajectories, each in
+  closed form (`dynamics_nonlinear.Trajectory`), which evaluates the system
+  spin's Bloch vector on any rows of the grid on demand;
 * divergence: the largest gap in the second Bloch component between arms,
   which is where every contrast in this package shows up;
 * checks: the entry's contract assertions, then the linear control, which
@@ -29,7 +29,13 @@ Every run with arms also checks the linear control: each arm is evolved a
 second time, from the same Bloch vectors, at the state-independent rate
 2 * epsilon, and the two arms must then agree to 1e-10. That pins each
 contrast on the state-dependent rate and nothing else. The control is
-accumulated like the arm it belongs to and is not kept in the report.
+summed like the arm it belongs to and is not kept in the report.
+
+A run stores no trajectory's points. It walks the grid in chunks of ROWS
+rows, evaluates both arms and both controls on each chunk, and keeps only
+the largest gap of every check, the divergences and the control: a
+maximum is exact, so the chunks change no value, and a run's memory is
+one chunk's whatever the grid.
 """
 
 from __future__ import annotations
@@ -43,7 +49,11 @@ import numpy as np
 
 from .dynamics_linear import no_signalling_suite
 from .dynamics_nonlinear import (
+    ROWS,
     EvolutionPolicy,
+    Kept,
+    Trajectory,
+    WeightedSum,
     evolve_ensemble,
     grid_points,
     time_grid,
@@ -165,13 +175,13 @@ class ContractCheck:
 @dataclass(frozen=True, eq=False)
 class ScenarioReport:
     """Everything one run produces; a pure function of its config. Every
-    trajectory, in arms and in the narrative, is an `(n, 3)` array of Bloch
-    vectors on the grid `times` (None for the linear suite, which has none)."""
+    trajectory, in arms and in the narrative, is a closed form on the grid
+    `times` (None for the linear suite, which has none)."""
 
     scenario: ScenarioId
     config: ScenarioConfig
     times: np.ndarray | None
-    arms: Mapping[str, np.ndarray]
+    arms: Mapping[str, Trajectory]
     divergence: float
     narrative: dict
     checks: tuple[ContractCheck, ...]
@@ -265,14 +275,17 @@ class Arm:
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One contrast as data: command-line name, `list` summary, description,
-    arms (two, or none for the linear suite), checks(cfg, times, armA, armB,
-    divergence, extras) -> contract checks, and extras(cfg, preparations) ->
-    the narrative keys only this contrast reports."""
+    arms (two, or none for the linear suite), deviations(cfg, times, armA,
+    armB) -> the arrays on one chunk of the grid whose largest magnitudes
+    (gaps) the checks read, checks(cfg, gaps, divergence, extras) -> contract
+    checks, and extras(cfg, preparations) -> the narrative keys only this
+    contrast reports."""
 
     name: str
     summary: str
     description: str
     arms: tuple[Arm, ...]
+    deviations: Callable[..., tuple[np.ndarray, ...]] | None
     checks: Callable[..., tuple[ContractCheck, ...]]
     extras: Callable[[ScenarioConfig, tuple[Ensemble, ...]], dict]
     needs_contrast: bool = False  # refuse configs with no contrast above MIN_CONTRAST
@@ -286,7 +299,7 @@ def _suite_extras(cfg, preps):
     return asdict(no_signalling_suite(cfg.trials, cfg.seed))
 
 
-def _suite_checks(cfg, times, arm_a, arm_b, divergence, extras):
+def _suite_checks(cfg, gaps, divergence, extras):
     return (ContractCheck("max linear-theory deviation", divergence, 1e-10),)
 
 
@@ -294,9 +307,13 @@ def _p_extras(cfg, preps):
     return {"p": cfg.p, "preparation_branches": _describe_ensemble(preps[0])}
 
 
-def _no_correlations_checks(cfg, times, arm_a, arm_b, divergence, extras):
+def _no_correlations_deviations(cfg, times, arm_a, arm_b):
     expected = _mixture_s2(cfg.p, cfg.epsilon, times)
-    gap_a, gap_b = (_max_abs(arm[:, 1] - expected) for arm in (arm_a, arm_b))
+    return arm_a[:, 1] - expected, arm_b[:, 1] - expected
+
+
+def _no_correlations_checks(cfg, gaps, divergence, extras):
+    gap_a, gap_b = gaps
     return (
         ContractCheck("armA matches the mixture solution", gap_a, 1e-8),
         ContractCheck("armB matches the mixture solution", gap_b, 1e-8),
@@ -304,11 +321,15 @@ def _no_correlations_checks(cfg, times, arm_a, arm_b, divergence, extras):
     )
 
 
-def _classical_checks(cfg, times, arm_a, arm_b, divergence, extras):
+def _classical_deviations(cfg, times, arm_a, arm_b):
     pure = _pure_s2(cfg.epsilon, times)
-    gap = _max_abs(pure - _mixture_s2(cfg.p, cfg.epsilon, times))
+    return arm_a[:, 1] - pure, pure - _mixture_s2(cfg.p, cfg.epsilon, times)
+
+
+def _classical_checks(cfg, gaps, divergence, extras):
+    gap_a, gap = gaps
     return (
-        ContractCheck("armA matches the pure-state solution", _max_abs(arm_a[:, 1] - pure), 1e-8),
+        ContractCheck("armA matches the pure-state solution", gap_a, 1e-8),
         ContractCheck("divergence matches the analytic gap", abs(divergence - gap), 1e-8),
         ContractCheck("divergence is strictly positive", divergence, 0.0, ">"),
     )
@@ -330,11 +351,15 @@ def _changed_extras(cfg, preps):
     return {"preparation_branches": dict(zip(ARM_KEYS, map(_describe_ensemble, preps))), **_CHANGED_GAPS}
 
 
-def _changed_checks(cfg, times, arm_a, arm_b, divergence, extras):
-    pure = _pure_s2(cfg.epsilon, times)
+def _changed_deviations(cfg, times, arm_a, arm_b):
+    return arm_a[:, 1], arm_b[:, 1] - _pure_s2(cfg.epsilon, times)
+
+
+def _changed_checks(cfg, gaps, divergence, extras):
+    silent, gap_b = gaps
     return (
-        ContractCheck("armA second component is zero", _max_abs(arm_a[:, 1]), 1e-10),
-        ContractCheck("armB matches the pure-state solution", _max_abs(arm_b[:, 1] - pure), 1e-8),
+        ContractCheck("armA second component is zero", silent, 1e-10),
+        ContractCheck("armB matches the pure-state solution", gap_b, 1e-8),
         ContractCheck("reduced system densities agree", extras["reduced_density_gap"], 1e-12),
         ContractCheck("composite densities differ", extras["composite_density_gap"], 0.1, ">"),
     )
@@ -345,14 +370,17 @@ def _entanglement_extras(cfg, preps):
     return {"basis_choice": cfg.basis_choice.value, "featured_arm": featured}
 
 
-def _entanglement_checks(cfg, times, arm_a, arm_b, divergence, extras):
+def _entanglement_deviations(cfg, times, arm_a, arm_b):
     pure = _pure_s2(cfg.epsilon, times)
-    diag_gap = _max_abs(arm_b[:, 1] - pure)
-    envelope_gap = abs(divergence - _max_abs(pure))
+    return arm_a[:, 1], arm_b[:, 1] - pure, pure
+
+
+def _entanglement_checks(cfg, gaps, divergence, extras):
+    silent, diag_gap, envelope = gaps
     return (
-        ContractCheck("updown arm second component is zero", _max_abs(arm_a[:, 1]), 1e-10),
+        ContractCheck("updown arm second component is zero", silent, 1e-10),
         ContractCheck("diag arm matches the pure-state solution", diag_gap, 1e-8),
-        ContractCheck("signal magnitude matches the solution envelope", envelope_gap, 1e-8),
+        ContractCheck("signal magnitude matches the solution envelope", abs(divergence - envelope), 1e-8),
     )
 
 
@@ -366,6 +394,7 @@ SPECS: dict[ScenarioId, ScenarioSpec] = {
         "randomized linear-theory suite",
         "randomized linear-theory suite: remote operations move no system probability",
         (),
+        None,
         _suite_checks,
         _suite_extras,
     ),
@@ -379,6 +408,7 @@ SPECS: dict[ScenarioId, ScenarioSpec] = {
             Arm("remote markers measured, outcomes evolved and averaged",
                 uncorrelated_preparation, MARKER_BASIS, AGGREGATE),
         ),
+        _no_correlations_deviations,
         _no_correlations_checks,
         _p_extras,
     ),
@@ -394,6 +424,7 @@ SPECS: dict[ScenarioId, ScenarioSpec] = {
             Arm("uncorrelated preparation at the same p, aggregate evolution, no measurement",
                 uncorrelated_preparation, None, AGGREGATE),
         ),
+        _classical_deviations,
         _classical_checks,
         _p_extras,
         needs_contrast=True,
@@ -411,6 +442,7 @@ SPECS: dict[ScenarioId, ScenarioSpec] = {
             Arm("diagonal-axis mixture, markers measured, branch-wise evolution",
                 DIAG_PREPARATION, MARKER_BASIS, BRANCHWISE),
         ),
+        _changed_deviations,
         _changed_checks,
         _changed_extras,
     ),
@@ -426,6 +458,7 @@ SPECS: dict[ScenarioId, ScenarioSpec] = {
             Arm("remote measured along diagonal directions",
                 SINGLET_PREPARATION, DIAG_BASIS, BRANCHWISE),
         ),
+        _entanglement_deviations,
         _entanglement_checks,
         _entanglement_extras,
     ),
@@ -449,6 +482,23 @@ def _refuse_without_contrast(cfg: ScenarioConfig) -> None:
         )
 
 
+def _chunk_gaps(spec: ScenarioSpec, cfg: ScenarioConfig, times, arms: dict, controls: dict, start: int) -> tuple:
+    """On the grid rows [start, start + ROWS): the divergence, the largest
+    Bloch distance between the arms and between their controls, then the
+    gaps of spec.deviations."""
+    stop = start + ROWS
+    turns = {}  # cos and sin per distinct rate, shared by every rotation of the chunk
+    arm_a, arm_b = (arms[key].rows(start, stop, turns) for key in ARM_KEYS)
+    control_a, control_b = (controls[key].rows(start, stop, turns) for key in ARM_KEYS)
+    deviations = spec.deviations(cfg, times[start:stop], arm_a, arm_b)
+    return (
+        _max_abs(arm_a[:, 1] - arm_b[:, 1]),
+        _max_distance(arm_a, arm_b),
+        _max_distance(control_a, control_b),
+        *map(_max_abs, deviations),
+    )
+
+
 def run_scenario(scenario: ScenarioId, cfg: ScenarioConfig) -> ScenarioReport:
     """Run the contrast SPECS[scenario] at cfg.
 
@@ -467,25 +517,27 @@ def run_scenario(scenario: ScenarioId, cfg: ScenarioConfig) -> ScenarioReport:
     if not spec.arms:
         extras = spec.extras(cfg, preps)
         divergence = max(extras[key] for key in SUITE_DEVIATIONS)
-        checks = spec.checks(cfg, None, None, None, divergence, extras)
+        checks = spec.checks(cfg, (), divergence, extras)
         narrative = {"description": spec.description, **extras}
         return ScenarioReport(scenario, cfg, None, {}, divergence, narrative, checks)
 
     times = time_grid(cfg.t_max, cfg.dt)
-    turns = {}  # cos and sin per distinct rate, shared by every rotation of the run
+    # The checks evaluate a grid of one chunk whole; its arms keep those rows
+    # for the exporter instead of evaluating them again.
+    keep = Kept if times.size <= ROWS else lambda trajectory: trajectory
     arms, controls, outcomes, per_outcome = {}, {}, {}, {}
     for key, arm, prepared in zip(ARM_KEYS, spec.arms, preps):
         if arm.basis is None:
-            arms[key], controls[key] = evolve_ensemble(prepared, arm.policy, cfg.epsilon, times, turns)
+            traj, controls[key] = evolve_ensemble(prepared, arm.policy, cfg.epsilon, times)
+            arms[key] = keep(traj)
             continue
-        points = np.zeros((times.size, 3))
-        control = np.zeros((times.size, 3))
+        terms, fixed_terms = [], []
         outcomes[key] = []
         for outcome in measure_all(prepared, arm.basis):
             post = outcome.post_state
-            traj, fixed = evolve_ensemble(post, arm.policy, cfg.epsilon, times, turns)
-            points += outcome.probability * traj
-            control += outcome.probability * fixed
+            traj, fixed = evolve_ensemble(post, arm.policy, cfg.epsilon, times)
+            terms.append((outcome.probability, traj))
+            fixed_terms.append((outcome.probability, fixed))
             per_outcome[f"{key}/outcome{outcome.outcome_index}"] = traj
             outcomes[key].append(
                 {
@@ -494,14 +546,15 @@ def run_scenario(scenario: ScenarioId, cfg: ScenarioConfig) -> ScenarioReport:
                     "post_branches": _describe_ensemble(post),
                 }
             )
-        arms[key], controls[key] = points, control
+        arms[key], controls[key] = keep(WeightedSum(times, tuple(terms))), WeightedSum(times, tuple(fixed_terms))
 
-    arm_a, arm_b = arms["armA"], arms["armB"]
-    divergence = _max_abs(arm_a[:, 1] - arm_b[:, 1])
+    # a maximum over the grid is the maximum of the chunks' maxima
+    chunks = [_chunk_gaps(spec, cfg, times, arms, controls, start) for start in range(0, times.size, ROWS)]
+    divergence, bloch_divergence, control_gap, *gaps = map(max, zip(*chunks))
     extras = spec.extras(cfg, preps)
     checks = (
-        *spec.checks(cfg, times, arm_a, arm_b, divergence, extras),
-        ContractCheck("linear control", _max_distance(controls["armA"], controls["armB"]), 1e-10),
+        *spec.checks(cfg, gaps, divergence, extras),
+        ContractCheck("linear control", control_gap, 1e-10),
     )
     narrative = {
         "description": spec.description,
@@ -510,6 +563,6 @@ def run_scenario(scenario: ScenarioId, cfg: ScenarioConfig) -> ScenarioReport:
         **extras,
         "outcomes": outcomes,
         "per_outcome_trajectories": per_outcome,
-        "bloch_divergence": _max_distance(arm_a, arm_b),
+        "bloch_divergence": bloch_divergence,
     }
     return ScenarioReport(scenario, cfg, times, arms, divergence, narrative, checks)

@@ -3,10 +3,12 @@
 Every fast route in `spinpair` is compared against an independent slow one
 here; none of these run in a `spinpair` command.
 
-* Export. The exporter in `spinpair.cli` renders each trajectory's float
-  columns and the report's one time grid to text, splices them into a
-  `json.dumps` of the rest of the report, and streams the result in chunks
-  of rows. render_csv and render_json are per-float routes: every float is
+* Export. The exporter in `spinpair.cli` evaluates each trajectory's
+  closed form a chunk of rows at a time, renders its float columns and the
+  report's one time grid to text, splices them into a `json.dumps` of the
+  rest of the report, and streams the result. render_csv and render_json
+  materialise every trajectory whole, with `Trajectory.rows()`, and are
+  per-float routes: every float is
   formatted with `format(x, ".{p}g")`, and in JSON parsed back and written
   by the json encoder, the grid once as the top-level `times` and each
   trajectory row as `json.dumps` of its three rounded floats. The fast
@@ -40,7 +42,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from spinpair.dynamics_nonlinear import _rotation_points, time_grid
+from spinpair.dynamics_nonlinear import Trajectory, _rotation_points, time_grid
 from spinpair.measurement import OutcomeBranch, _collapse
 from spinpair.qmath import ATOL, IDENTITY_2, MEAN_IMAG_TOL, PAULI, ConsistencyError, checked
 from spinpair.scenarios import ScenarioReport
@@ -68,14 +70,14 @@ ROW_STRING = r'"\\u0001(\[[^"]*\])"'
 
 
 def jsonable(value, precision: int):
-    """Report value -> json-ready value, each float rounded on its own. A
-    1-d array (the time grid) becomes a list; a trajectory (a 2-d array)
-    becomes `{"points": rows}`, each row the json.dumps text of its floats
-    behind ROW, which render_json unquotes onto one line."""
+    """Report value -> json-ready value, each float rounded on its own. An
+    array (the time grid) becomes a list; a trajectory becomes
+    `{"points": rows}`, each row the json.dumps text of its floats behind
+    ROW, which render_json unquotes onto one line."""
     if isinstance(value, np.ndarray):
-        if value.ndim == 1:
-            return [rounded(t, precision) for t in value]
-        return {"points": [ROW + json.dumps([rounded(c, precision) for c in row]) for row in value]}
+        return [rounded(t, precision) for t in value]
+    if isinstance(value, Trajectory):
+        return {"points": [ROW + json.dumps([rounded(c, precision) for c in row]) for row in value.rows()]}
     if isinstance(value, dict):
         return {str(k): jsonable(v, precision) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -87,10 +89,22 @@ def jsonable(value, precision: int):
     return value
 
 
+@dataclass(frozen=True, eq=False)
+class GivenPoints(Trajectory):
+    """A trajectory given by its `(n, 3)` points on the grid `times`, for
+    hand-made reports that hold floats no closed form produces."""
+
+    times: np.ndarray
+    points: np.ndarray
+
+    def rows(self, start=0, stop=None, turns=None) -> np.ndarray:
+        return self.points[start:stop]
+
+
 def render_csv(report: ScenarioReport, precision: int) -> str:
     lines = ["t,arm,sigma1,sigma2,sigma3"]
-    for arm_name, points in report.arms.items():
-        for t, (s1, s2, s3) in zip(report.times, points):
+    for arm_name, trajectory in report.arms.items():
+        for t, (s1, s2, s3) in zip(report.times, trajectory.rows()):
             lines.append(
                 f"{fmt(t, precision)},{arm_name},"
                 f"{fmt(s1, precision)},{fmt(s2, precision)},{fmt(s3, precision)}"

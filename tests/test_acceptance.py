@@ -81,8 +81,8 @@ def test_criterion_3_uncorrelated_reproduction():
     run = run_scenario(ScenarioId.NO_CORRELATIONS, DEFAULTS)
     times = run.times
     expected = mixture_s2(DEFAULTS.p, DEFAULTS.epsilon, times)
-    err_a = float(np.max(np.abs(run.arms["armA"][:, 1] - expected)))
-    err_b = float(np.max(np.abs(run.arms["armB"][:, 1] - expected)))
+    err_a = float(np.max(np.abs(run.arms["armA"].rows()[:, 1] - expected)))
+    err_b = float(np.max(np.abs(run.arms["armB"].rows()[:, 1] - expected)))
     ok = err_a < 1e-8 and err_b < 1e-8 and run.divergence < 1e-10
     report(
         3,
@@ -103,7 +103,7 @@ def test_criterion_4_classical_correlations_reproduction():
         )
         times = run.times
         worst = max(
-            worst, float(np.max(np.abs(run.arms["armA"][:, 1] - pure_s2(1.0, times))))
+            worst, float(np.max(np.abs(run.arms["armA"].rows()[:, 1] - pure_s2(1.0, times))))
         )
     divergence = run_scenario(ScenarioId.CLASSICAL_CORRELATIONS, DEFAULTS).divergence
     ok = worst < 1e-8 and divergence > 0.2
@@ -120,8 +120,8 @@ def test_criterion_5_changed_correlations_reproduction():
     density matrices (1e-12), composite matrices apart by more than 0.1."""
     run = run_scenario(ScenarioId.CHANGED_CORRELATIONS, DEFAULTS)
     times = run.times
-    silent = float(np.max(np.abs(run.arms["armA"][:, 1])))
-    err_b = float(np.max(np.abs(run.arms["armB"][:, 1] - pure_s2(1.0, times))))
+    silent = float(np.max(np.abs(run.arms["armA"].rows()[:, 1])))
+    err_b = float(np.max(np.abs(run.arms["armB"].rows()[:, 1] - pure_s2(1.0, times))))
     reduced_gap = run.narrative["reduced_density_gap"]
     composite_gap = run.narrative["composite_density_gap"]
     ok = silent < 1e-10 and err_b < 1e-8 and reduced_gap < 1e-12 and composite_gap > 0.1
@@ -139,8 +139,8 @@ def test_criterion_6_entanglement_reproduction():
     signal magnitude 1/sqrt(2) within 1e-6."""
     run = run_scenario(ScenarioId.ENTANGLEMENT, ScenarioConfig(basis_choice=BasisChoice.DIAG))
     times = run.times
-    silent = float(np.max(np.abs(run.arms["armA"][:, 1])))
-    err_b = float(np.max(np.abs(run.arms["armB"][:, 1] - pure_s2(1.0, times))))
+    silent = float(np.max(np.abs(run.arms["armA"].rows()[:, 1])))
+    err_b = float(np.max(np.abs(run.arms["armB"].rows()[:, 1] - pure_s2(1.0, times))))
     signal_gap = abs(run.divergence - 1.0 / SQRT2)
     ok = silent < 1e-10 and err_b < 1e-8 and signal_gap < 1e-6
     report(

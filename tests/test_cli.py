@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import GivenPoints
 from spinpair import cli
 from spinpair.cli import RunConfig, UsageError, emit_report, main, parse_args
 from spinpair.scenarios import (
@@ -91,11 +92,12 @@ class TestParseArgs:
 
 def tiny_report(passed=True):
     check = ContractCheck("made-up bound", 0.0 if passed else 1.0, 0.5)
+    times = np.array([0.0, 0.5, 1.0])
     return ScenarioReport(
         ScenarioId.NO_CORRELATIONS,
         ScenarioConfig(t_max=1, dt=0.5),  # an int, as a library caller may pass
-        np.array([0.0, 0.5, 1.0]),
-        {"armA": np.zeros((3, 3)), "armB": np.full((3, 3), 0.25)},
+        times,
+        {"armA": GivenPoints(times, np.zeros((3, 3))), "armB": GivenPoints(times, np.full((3, 3), 0.25))},
         0.25,
         {"description": "fixture", "value": 0.1},
         (check,),
@@ -124,7 +126,7 @@ class TestEmitReport:
         emit_report(report, run_config(str(path)))
         rows = list(csv.reader(io.StringIO(path.read_text())))[1:]
         for row, expected_t, expected_point in zip(
-            rows[:3], report.times, report.arms["armA"]
+            rows[:3], report.times, report.arms["armA"].rows()
         ):
             assert float(row[0]) == pytest.approx(expected_t, abs=1e-12)
             np.testing.assert_allclose([float(x) for x in row[2:]], expected_point, atol=1e-12)

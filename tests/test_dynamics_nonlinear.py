@@ -14,11 +14,16 @@ from hypothesis import strategies as st
 
 from oracles import bloch_array, closed_form, eom_rhs, integrate_rk4
 from spinpair.dynamics_nonlinear import (
+    ROWS,
     EvolutionPolicy,
+    Rotation,
+    WeightedSum,
+    _rotation_points,
     evolve_ensemble,
     grid_points,
     time_grid,
 )
+from spinpair.scenarios import MAX_ANGLE
 from spinpair.states import (
     DIAG_MINUS,
     DIAG_PLUS,
@@ -199,7 +204,7 @@ class TestEvolveEnsemble:
             self.make_uncorrelated(p), EvolutionPolicy.AGGREGATE_MEANS, eps, times
         )
         expected = ((2.0 * p - 1.0) / SQRT2) * np.sin(SQRT2 * (2.0 * p - 1.0) * eps * times)
-        assert np.max(np.abs(traj[:, 1] - expected)) < 1e-12
+        assert np.max(np.abs(traj.rows()[:, 1] - expected)) < 1e-12
 
     def test_branch_means_over_diagonal_branches(self):
         """Both diagonal branches produce the same full-amplitude waveform,
@@ -209,13 +214,13 @@ class TestEvolveEnsemble:
         ens = correlated_ensemble(0.6, plus, UP, minus, DOWN)
         traj, _ = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times)
         expected = np.sin(SQRT2 * times) / SQRT2
-        assert np.max(np.abs(traj[:, 1] - expected)) < 1e-12
+        assert np.max(np.abs(traj.rows()[:, 1] - expected)) < 1e-12
 
     def test_branch_means_over_pole_branches_is_silent(self):
         times = time_grid(5.0, 1e-2)
         ens = correlated_ensemble(0.5, UP, UP, DOWN, DOWN)
         traj, _ = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times)
-        assert np.max(np.abs(traj[:, 1])) == 0.0
+        assert np.max(np.abs(traj.rows()[:, 1])) == 0.0
 
     def test_policies_differ_on_balanced_mixture(self):
         """Same ensemble, same reduced density matrix: the aggregate policy is
@@ -224,9 +229,9 @@ class TestEvolveEnsemble:
         ens = self.make_uncorrelated(0.5)
         aggregate, _ = evolve_ensemble(ens, EvolutionPolicy.AGGREGATE_MEANS, 1.0, times)
         branchwise, _ = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, times)
-        assert np.max(np.abs(aggregate[:, 1])) < 1e-12
+        assert np.max(np.abs(aggregate.rows()[:, 1])) < 1e-12
         expected = np.sin(SQRT2 * times) / SQRT2
-        assert np.max(np.abs(branchwise[:, 1] - expected)) < 1e-12
+        assert np.max(np.abs(branchwise.rows()[:, 1] - expected)) < 1e-12
 
     def test_control_makes_policies_agree(self):
         """The control rotates at the state-independent rate 2 * eps, under
@@ -241,7 +246,7 @@ class TestEvolveEnsemble:
         for ens, eps in itertools.product(ensembles, (0.4, -1.0, 3.0)):
             aggregate = evolve_ensemble(ens, EvolutionPolicy.AGGREGATE_MEANS, eps, times)
             branchwise = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, eps, times)
-            assert np.max(np.abs(aggregate[1] - branchwise[1])) < 1e-10
+            assert np.max(np.abs(aggregate[1].rows() - branchwise[1].rows())) < 1e-10
 
     def test_control_rotates_at_twice_epsilon(self):
         """The control of a single vector is its rotation by 2 * eps * t,
@@ -253,7 +258,7 @@ class TestEvolveEnsemble:
         expected = np.stack(
             [b.s1 * np.cos(3.0 * times), b.s1 * np.sin(3.0 * times), np.full(times.size, b.s3)], axis=1
         )
-        assert np.max(np.abs(control - expected)) < 1e-12
+        assert np.max(np.abs(control.rows() - expected)) < 1e-12
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(
@@ -280,12 +285,27 @@ class TestEvolveEnsemble:
         original = evolve_ensemble(Ensemble(tuple(branches)), policy, eps, times)
         permuted = evolve_ensemble(Ensemble(tuple(branches[i] for i in order)), policy, eps, times)
         for before, after in zip(original, permuted):  # the trajectory and its control
-            assert np.max(np.abs(before - after)) < 1e-12
+            assert np.max(np.abs(before.rows() - after.rows())) < 1e-12
+
+    def test_closed_forms_follow_the_policy(self):
+        """AGGREGATE_MEANS gives one rotation of the reduced Bloch vector;
+        BRANCH_MEANS a weighted sum of one rotation per branch, in ensemble
+        order. Both are bound to the grid they were given, not a copy."""
+        times = time_grid(1.0, 0.1)
+        ens = correlated_ensemble(0.25, DIAG_PLUS, UP, DIAG_MINUS, DOWN)
+        for traj in evolve_ensemble(ens, EvolutionPolicy.AGGREGATE_MEANS, 0.4, times):
+            assert isinstance(traj, Rotation) and traj.times is times
+        traj, control = evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 0.4, times)
+        for form in (traj, control):
+            assert isinstance(form, WeightedSum) and form.times is times
+            assert [weight for weight, _ in form.terms] == [branch.weight for branch in ens.branches]
+        assert [term.omega for _, term in control.terms] == [0.8, 0.8]
 
     def test_shared_turns_give_the_same_bits(self):
-        """Calls that share a `turns` dict evaluate cos and sin once per
-        distinct rate, with every output bit as it is without the dict. A
-        zero rate of either sign is its own rate: -0.0 turns zeros negative."""
+        """Calls on one slice of the grid that share a `turns` dict evaluate
+        cos and sin once per distinct rate, with every output bit as it is
+        without the dict. A zero rate of either sign is its own rate: -0.0
+        turns zeros negative."""
         times = time_grid(5.0, 1e-2)
         ensembles = [
             self.make_uncorrelated(0.75),
@@ -295,16 +315,62 @@ class TestEvolveEnsemble:
         ]
         turns, rotations = {}, 0
         for ens, eps, policy in itertools.product(ensembles, (0.4, -1.0), EvolutionPolicy):
-            alone = evolve_ensemble(ens, policy, eps, times)
-            shared = evolve_ensemble(ens, policy, eps, times, turns)
-            for before, after in zip(alone, shared):
-                np.testing.assert_array_equal(before.view(np.uint64), after.view(np.uint64))
+            for form in evolve_ensemble(ens, policy, eps, times):
+                alone, shared = form.rows(100, 300), form.rows(100, 300, turns)
+                np.testing.assert_array_equal(alone.view(np.uint64), shared.view(np.uint64))
             rotations += 2 * (len(ens.branches) if policy is EvolutionPolicy.BRANCH_MEANS else 1)
         # the correlated up/down mixture's aggregate s3 is 0.0, so its rate is 0.0 * eps
         assert {(0.0).hex(), (-0.0).hex()} <= set(turns)
         assert len(turns) == 14 < rotations == 44
+        assert all(len(c) == len(s) == 200 for c, s in turns.values())
 
     def test_entangled_branch_rejected_under_branch_means(self):
         ens = Ensemble((Branch(1.0, SINGLET),))
         with pytest.raises(NotProductError):
             evolve_ensemble(ens, EvolutionPolicy.BRANCH_MEANS, 1.0, time_grid(1.0, 0.1))
+
+
+class TestChunkedRows:
+    """Every consumer of a trajectory evaluates it a chunk of rows at a time
+    and relies on each row coming out as it does on the whole grid. That
+    holds if numpy's cos and sin of an angle, and the products and sums of
+    the closed forms, do not depend on where the slice starts or how long it
+    is; a numpy whose vector kernels treat a slice's head or tail otherwise
+    fails here."""
+
+    # rates of either zero sign, a subnormal, ordinary ones, and the largest
+    # the angle cap allows on this grid, of either sign
+    T_MAX = 50.0
+    RATES = [0.0, -0.0, 5e-324, 1.0, -2.5, SQRT2, 2.0 * 0.3 * -0.7, MAX_ANGLE / T_MAX, -MAX_ANGLE / T_MAX]
+    STARTS = [BlochVector(0.6, -0.0, 0.8), BlochVector(-0.0, 0.0, -1.0), BlochVector(0.3, -0.4, 0.5), DIAG]
+
+    def grid(self):
+        times = time_grid(self.T_MAX, self.T_MAX / (3 * ROWS + 4))  # three full chunks and a short one
+        assert times.size == 3 * ROWS + 5 and float(np.max(np.abs(self.RATES[-1] * times))) == MAX_ANGLE
+        return times
+
+    def forms(self, times):
+        rotations = [Rotation(times, b, omega) for b in self.STARTS for omega in self.RATES]
+        sums = [
+            WeightedSum(times, tuple((weight, rotation) for weight, rotation in zip((0.25, 0.75, 1.0, -0.0), rotations[k::9])))
+            for k in range(9)
+        ]
+        nested = WeightedSum(times, ((0.4999999999999999, sums[0]), (0.5, sums[4]), (1.0, rotations[-1])))
+        return rotations + sums + [nested]
+
+    @pytest.mark.parametrize("rows", [7, 1000, ROWS])
+    def test_chunks_give_the_bits_of_the_whole_grid(self, rows):
+        times = self.grid()
+        for b, omega in itertools.product(self.STARTS, self.RATES):
+            whole = _rotation_points(b, omega, times)
+            chunked = np.concatenate([_rotation_points(b, omega, times[k : k + rows]) for k in range(0, times.size, rows)])
+            np.testing.assert_array_equal(whole.view(np.uint64), chunked.view(np.uint64))
+        forms = self.forms(times)
+        wholes = [form.rows() for form in forms]
+        chunks = [[] for _ in forms]
+        for start in range(0, times.size, rows):
+            turns = {}  # shared by every form on the chunk, as run_scenario shares it
+            for parts, form in zip(chunks, forms):
+                parts.append(form.rows(start, start + rows, turns))
+        for whole, parts in zip(wholes, chunks):
+            np.testing.assert_array_equal(whole.view(np.uint64), np.concatenate(parts).view(np.uint64))

@@ -10,6 +10,8 @@ stays near one chunk.
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -140,15 +142,15 @@ def test_long_columns_match_the_per_float_route(values, negate, seed, precision,
     if as_json:
         expected = [repr(float(text)) for text in expected]
     written = []
-    cli._write_rows(written.append, [column], ["", ""], precision, as_json, "\n")
+    cli._write_rows(written.append, len(column), lambda start, stop: [column[start:stop]], ["", ""], precision, as_json, "\n")
     assert "".join(written).split("\n") == expected
 
 
 def nonconstant_chunks(report):
     """Every chunk of ROWS values of the report's grid and of each column of
     its trajectories, but for columns of one bit pattern."""
-    arrays = [report.times, *report.arms.values(), *report.narrative["per_outcome_trajectories"].values()]
-    for array in arrays:
+    trajectories = [*report.arms.values(), *report.narrative["per_outcome_trajectories"].values()]
+    for array in [report.times, *(trajectory.rows() for trajectory in trajectories)]:
         for column in array.reshape(len(array), -1).T:
             for start in range(0, len(column), cli.ROWS):
                 chunk = column[start : start + cli.ROWS]
@@ -223,7 +225,7 @@ def test_grids_at_a_chunk_boundary_match_the_per_float_route(rows, points):
     """Grids of ROWS - 1, ROWS and ROWS + 1 points: one short chunk, one
     full chunk, and a full chunk followed by a single row."""
     report = run_scenario(ScenarioId.ENTANGLEMENT, ScenarioConfig(t_max=points - 1, dt=1.0))
-    assert len(report.arms["armA"]) == points
+    assert len(report.arms["armA"].rows()) == points
     assert_matches_the_oracle(report, 12, [rows])
 
 
@@ -245,9 +247,10 @@ def test_long_chunks_match_the_per_float_route(scenario, precision):
 def nested_report(narrative_extra=None):
     """A hand-made report with trajectories in lists and in nested dicts, on
     one time grid, holding the floats whose spellings differ."""
-    odd = np.array([[0.0, -0.0, 5e-324], [1e-310, 1.0, -1.0],
-                    [1e15, 1 / 3, 0.1 + 0.2], [2.0**53, -5e-324, 1e16]])
-    flat = np.full((4, 3), 0.25)
+    times = np.array([0.0, 1e-5, 1.0, 1e12])
+    odd = oracles.GivenPoints(times, np.array([[0.0, -0.0, 5e-324], [1e-310, 1.0, -1.0],
+                                               [1e15, 1 / 3, 0.1 + 0.2], [2.0**53, -5e-324, 1e16]]))
+    flat = oracles.GivenPoints(times, np.full((4, 3), 0.25))
     narrative = {
         "per_outcome_trajectories": {"outcome0": flat, "outcome1": odd},
         "deeper": {"list": [odd, {"again": flat}], "value": -0.0},
@@ -256,7 +259,7 @@ def nested_report(narrative_extra=None):
     return ScenarioReport(
         ScenarioId.ENTANGLEMENT,
         ScenarioConfig(t_max=1, dt=0.5),
-        np.array([0.0, 1e-5, 1.0, 1e12]),
+        times,
         {"armA": odd, "arm%B": flat},
         1e-5,
         narrative,
@@ -378,6 +381,59 @@ def test_out_may_name_a_device():
     """A target that is not a regular file is written in place, not replaced."""
     assert main(["run", "sec5", "--t-max", "1", "--dt", "0.1", "--out", os.devnull]) == 0
     assert not os.path.isfile(os.devnull)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(__file__))), "src")
+
+
+def spinpair(*argv, **kwargs):
+    """A `python -m spinpair` child with the package from this checkout."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.Popen([sys.executable, "-m", "spinpair", *argv], env=env, **kwargs)
+
+
+@pytest.mark.parametrize("stdout", ["/dev/stdout", "/dev/fd/1"])
+def test_out_may_name_stdout_on_a_pipe(stdout, tmp_path):
+    """/dev/stdout on a pipe resolves to a name that no file has; the pipe
+    is written in place, with the bytes --out FILE gets."""
+    argv = ["verify-linear", "--trials", "3"]
+    path = tmp_path / "out.json"
+    assert spinpair(*argv, "--out", str(path)).wait(timeout=60) == 0
+    child = spinpair(*argv, "--out", stdout, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (0, b"")
+    assert out == path.read_bytes()
+
+
+# Max RSS of `run sec8 --t-max 1000 --out /dev/null` (1,000,001 grid points):
+# 40.9-41.1 MB in CSV and in JSON over four runs each (374 MB when a report
+# held its points). One (n, 3) array kept for the whole grid adds 24 MB, and
+# the cos/sin pairs of one rate kept for the whole run 16 MB.
+CAP_RUN_RSS_MB = 60
+
+# Runs argv and prints its exit code and ru_maxrss in KiB. A process's
+# ru_maxrss starts from the RSS of the process it was forked from, and a
+# test process is large; this one is small, so the command's own peak shows.
+MEASURE = r"""
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_cap_run_stays_near_one_chunk(fmt):
+    """At the grid cap a run holds the grid and about one chunk of each
+    trajectory, so its peak stays below that of one trajectory's points."""
+    argv = [sys.executable, "-m", "spinpair", "run", "sec8", "--t-max", "1000", "--format", fmt, "--out", os.devnull]
+    measured = subprocess.run(
+        [sys.executable, "-c", MEASURE, *argv],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, max_rss_kib = map(int, measured.stdout.split())
+    assert code == 0
+    assert max_rss_kib / 1024 <= CAP_RUN_RSS_MB
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

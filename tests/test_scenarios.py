@@ -11,14 +11,16 @@ import os
 import random
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinpair import cli, dynamics_nonlinear
 from spinpair.cli import main
-from spinpair.dynamics_nonlinear import time_grid
+from spinpair.dynamics_nonlinear import ROWS, time_grid
 from spinpair.scenarios import (
     MAX_ANGLE,
     MAX_GRID_POINTS,
@@ -160,21 +162,21 @@ class TestNoCorrelations:
         report = run_scenario(ScenarioId.NO_CORRELATIONS, FAST)
         times = report.times
         expected = mixture_s2(FAST.p, FAST.epsilon, times)
-        assert np.max(np.abs(report.arms["armA"][:, 1] - expected)) < 1e-8
-        assert np.max(np.abs(report.arms["armB"][:, 1] - expected)) < 1e-8
+        assert np.max(np.abs(report.arms["armA"].rows()[:, 1] - expected)) < 1e-8
+        assert np.max(np.abs(report.arms["armB"].rows()[:, 1] - expected)) < 1e-8
         assert report.divergence < 1e-10
         assert report.contracts_ok
 
     def test_balanced_mixture_is_silent(self):
         report = run_scenario(ScenarioId.NO_CORRELATIONS, ScenarioConfig(p=0.5, t_max=2.0, dt=1e-2))
         for arm in report.arms.values():
-            assert np.max(np.abs(arm[:, 1])) < 1e-12
+            assert np.max(np.abs(arm.rows()[:, 1])) < 1e-12
 
     def test_pure_limit_reaches_full_amplitude(self):
         report = run_scenario(ScenarioId.NO_CORRELATIONS, ScenarioConfig(p=1.0, t_max=2.0, dt=1e-3))
         times = report.times
         expected = pure_s2(1.0, times)
-        assert np.max(np.abs(report.arms["armA"][:, 1] - expected)) < 1e-8
+        assert np.max(np.abs(report.arms["armA"].rows()[:, 1] - expected)) < 1e-8
 
     def test_narrative_records_outcomes(self):
         report = run_scenario(ScenarioId.NO_CORRELATIONS, FAST)
@@ -188,7 +190,7 @@ class TestClassicalCorrelations:
         """armA follows the full-amplitude pure solution whatever p is."""
         report = run_scenario(ScenarioId.CLASSICAL_CORRELATIONS, ScenarioConfig(p=p, t_max=4.0, dt=1e-3))
         times = report.times
-        assert np.max(np.abs(report.arms["armA"][:, 1] - pure_s2(1.0, times))) < 1e-8
+        assert np.max(np.abs(report.arms["armA"].rows()[:, 1] - pure_s2(1.0, times))) < 1e-8
 
     def test_divergence_from_uncorrelated_baseline(self):
         report = run_scenario(ScenarioId.CLASSICAL_CORRELATIONS, FAST)
@@ -202,7 +204,7 @@ class TestClassicalCorrelations:
         assert list(report.narrative["outcomes"]) == ["armA"]
         per = report.narrative["per_outcome_trajectories"]
         assert set(per) == {"armA/outcome0", "armA/outcome1"}
-        assert np.max(np.abs(per["armA/outcome0"][:, 1] - per["armA/outcome1"][:, 1])) < 1e-12
+        assert np.max(np.abs(per["armA/outcome0"].rows()[:, 1] - per["armA/outcome1"].rows()[:, 1])) < 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_degenerate_weight_rejected(self, p):
@@ -224,7 +226,7 @@ class TestClassicalCorrelations:
         p = 1: collapsing onto one branch is the pure-state limit."""
         measured = run_scenario(ScenarioId.CLASSICAL_CORRELATIONS, FAST)
         pure_limit = run_scenario(ScenarioId.NO_CORRELATIONS, ScenarioConfig(p=1.0, t_max=4.0, dt=1e-3))
-        gap = np.max(np.abs(measured.arms["armA"][:, 1] - pure_limit.arms["armA"][:, 1]))
+        gap = np.max(np.abs(measured.arms["armA"].rows()[:, 1] - pure_limit.arms["armA"].rows()[:, 1]))
         assert gap < 1e-8
 
 
@@ -233,8 +235,8 @@ class TestChangedCorrelations:
         report = run_scenario(ScenarioId.CHANGED_CORRELATIONS, FAST)
         assert report.contracts_ok
         times = report.times
-        assert np.max(np.abs(report.arms["armA"][:, 1])) < 1e-10
-        assert np.max(np.abs(report.arms["armB"][:, 1] - pure_s2(1.0, times))) < 1e-8
+        assert np.max(np.abs(report.arms["armA"].rows()[:, 1])) < 1e-10
+        assert np.max(np.abs(report.arms["armB"].rows()[:, 1] - pure_s2(1.0, times))) < 1e-8
 
     def test_preparations_share_the_reduced_state(self):
         report = run_scenario(ScenarioId.CHANGED_CORRELATIONS, FAST)
@@ -252,8 +254,8 @@ class TestEntanglement:
         report = run_scenario(ScenarioId.ENTANGLEMENT, FAST)
         assert report.contracts_ok
         times = report.times
-        assert np.max(np.abs(report.arms["armA"][:, 1])) < 1e-10
-        assert np.max(np.abs(report.arms["armB"][:, 1] - pure_s2(1.0, times))) < 1e-8
+        assert np.max(np.abs(report.arms["armA"].rows()[:, 1])) < 1e-10
+        assert np.max(np.abs(report.arms["armB"].rows()[:, 1] - pure_s2(1.0, times))) < 1e-8
 
     def test_outcome_probabilities_are_half(self):
         report = run_scenario(ScenarioId.ENTANGLEMENT, FAST)
@@ -279,7 +281,7 @@ class TestEntanglement:
         trajectories coincide."""
         entangled = run_scenario(ScenarioId.ENTANGLEMENT, FAST)
         classical = run_scenario(ScenarioId.CHANGED_CORRELATIONS, FAST)
-        gap = np.max(np.abs(entangled.arms["armB"][:, 1] - classical.arms["armB"][:, 1]))
+        gap = np.max(np.abs(entangled.arms["armB"].rows()[:, 1] - classical.arms["armB"].rows()[:, 1]))
         assert gap < 1e-8
 
 
@@ -344,24 +346,54 @@ class TestRunScenario:
             grid = time_grid(cfg.t_max, cfg.dt)
             np.testing.assert_array_equal(report.times, grid)
             for arm in report.arms.values():
-                assert arm.shape == (grid.size, 3)
+                assert arm.times is report.times
+                assert arm.rows().shape == (grid.size, 3)
             assert report.divergence >= 0.0
 
     def test_a_report_retains_one_grid(self):
-        """The time grid is stored once per report: a sec8 run keeps the grid
-        and six point arrays (two arms, two outcomes per arm), 8 + 6 * 24
-        bytes per grid point, and little else."""
-        cfg = ScenarioConfig(t_max=100.0)
-        points = time_grid(cfg.t_max, cfg.dt).size
-        tracemalloc.start()
-        try:
+        """A report stores the time grid, 8 bytes per grid point, and closed
+        forms: every trajectory, in the arms and in the narrative, shares
+        that grid and holds no point array. What a sec8 run keeps is the grid
+        and a fixed allowance, and so is its peak: the checks evaluate the
+        arms a chunk of ROWS rows at a time, which took 1.0 MiB at these
+        sizes; the allowance is twice that."""
+        allowance = 2**21
+        for t_max in (100.0, 400.0):
+            cfg = ScenarioConfig(t_max=t_max)
+            points = time_grid(cfg.t_max, cfg.dt).size
+            tracemalloc.start()
+            try:
+                report = run_scenario(ScenarioId.ENTANGLEMENT, cfg)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert retained <= 8 * points + allowance
+            assert peak <= 8 * points + allowance
+            trajectories = [*report.arms.values(), *report.narrative["per_outcome_trajectories"].values()]
+            assert len(trajectories) == 6
+            assert all(trajectory.times is report.times for trajectory in trajectories)
+            assert report.times.nbytes == 8 * points
+
+
+    @pytest.mark.parametrize("points, evaluated_again", [(ROWS, False), (ROWS + 1, True)])
+    def test_a_grid_of_one_chunk_is_evaluated_once(self, points, evaluated_again):
+        """The checks evaluate a grid of at most ROWS rows whole, and the
+        arms keep those rows: the CSV export evaluates no rotation again.
+        A longer grid keeps none."""
+        cfg = ScenarioConfig(t_max=points - 1, dt=1.0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rotation_points(*args)
+
+        rotation_points = dynamics_nonlinear._rotation_points
+        with mock.patch.object(dynamics_nonlinear, "_rotation_points", counted):
             report = run_scenario(ScenarioId.ENTANGLEMENT, cfg)
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert retained <= (8 + 6 * 24) * points + 2**20
-        stored = [report.times, *report.arms.values(), *report.narrative["per_outcome_trajectories"].values()]
-        assert sum(array.nbytes for array in stored) == (8 + 6 * 24) * points
+            evaluated = len(calls)
+            cli._render_csv(report, 12)(lambda text: None)
+        assert report.times.size == points and evaluated > 0
+        assert (len(calls) > evaluated) is evaluated_again
 
 
 class TestSharedState:
