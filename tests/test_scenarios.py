@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinpair import cli, dynamics_nonlinear
+from spinpair import cli, dynamics_nonlinear, scenarios
 from spinpair.cli import main
 from spinpair.dynamics_nonlinear import ROWS, time_grid
 from spinpair.scenarios import (
@@ -349,6 +349,31 @@ class TestRunScenario:
                 assert arm.times is report.times
                 assert arm.rows().shape == (grid.size, 3)
             assert report.divergence >= 0.0
+
+    @pytest.mark.parametrize(
+        "slot, failed",
+        [
+            (0, "signal magnitude matches the solution envelope"),  # the divergence
+            (2, "linear control"),
+            (3, "updown arm second component is zero"),
+            (4, "diag arm matches the pure-state solution"),
+        ],
+    )
+    def test_a_nan_in_a_later_chunk_fails_its_check(self, slot, failed):
+        """The checks read maxima over the chunks; a NaN in the last chunk
+        of a two-chunk grid reaches its check and fails it."""
+        chunk_gaps = scenarios._chunk_gaps
+
+        def poisoned(spec, cfg, times, arms, controls, start):
+            gaps = list(chunk_gaps(spec, cfg, times, arms, controls, start))
+            if start + ROWS >= times.size:
+                gaps[slot] = math.nan
+            return tuple(gaps)
+
+        with mock.patch.object(scenarios, "_chunk_gaps", poisoned):
+            report = run_scenario(ScenarioId.ENTANGLEMENT, ScenarioConfig(t_max=ROWS, dt=1.0))
+        assert report.times.size == ROWS + 1
+        assert [check.name for check in report.checks if not check.passed] == [failed]
 
     def test_a_report_retains_one_grid(self):
         """A report stores the time grid, 8 bytes per grid point, and closed
