@@ -14,7 +14,11 @@ by `Trajectory.rows` as the chunk is written, so no command holds more than
 one chunk of any trajectory. From CROSSOVER rows on, a chunk is one uint8
 matrix of numpy-formatted float cells and literal separators, read off as
 its nonzero bytes; the values numpy cannot round with certainty, shorter
-chunks and precisions above 13 take the per-float route.
+chunks and precisions above 13 take the per-float route. A chunk whose
+every cell is one row, as the rows of a constant closed form are, is that
+row's bytes repeated, with no matrix. The writers pass bytes to `write`: a
+file opened in binary mode, or stdout's binary buffer, so no chunk is
+decoded to text and encoded again.
 """
 
 from __future__ import annotations
@@ -197,9 +201,12 @@ def _float_texts(column, precision: int, as_json: bool = False) -> list[str]:
 
 
 def _one_bit_pattern(column) -> bool:
-    """Whether every entry has the bits of the first: equal values (a NaN
-    never is) of one sign, which only zeros can differ in. The last entry is
-    tried first, which rules out most columns at once."""
+    """Whether every entry has the bits of the first: a column that repeats
+    one entry in memory (stride 0, as a constant closed form's rows do), or
+    equal values (a NaN never is) of one sign, which only zeros can differ
+    in. The last entry is tried first, which rules out most columns at once."""
+    if column.strides == (0,):
+        return True
     first = column[0]
     if column[-1] != first or not (column == first).all():
         return False
@@ -317,22 +324,24 @@ def _float_cells(column, precision: int, as_json: bool = False) -> np.ndarray:
 
 def _write_rows(write, n: int, columns, literals, precision: int, as_json: bool, sep: str = "") -> None:
     """Write n rows `literals[0] cell literals[1] ... cell literals[-1]`,
-    joined by sep, in chunks of ROWS rows; columns(start, stop) gives the
-    chunk's columns, one float cell per column and row (a float array, or
-    the texts of one shorter than CROSSOVER). A chunk of CROSSOVER rows or
-    more puts its cells and literals side by side in one uint8 matrix, whose
-    nonzero bytes are its text."""
+    joined by sep, in chunks of ROWS rows, as bytes; columns(start, stop)
+    gives the chunk's columns, one float cell per column and row (a float
+    array, or the texts of one shorter than CROSSOVER). A chunk of CROSSOVER
+    rows or more puts its cells and literals side by side in one uint8
+    matrix, whose nonzero bytes are its text, or, when every cell of the
+    chunk is one row, writes that row's bytes repeated."""
     literals = [*literals[:-1], literals[-1] + sep]
     encoded = [text.encode("ascii") for text in literals]
     for start in range(0, n, ROWS):
         chunk = columns(start, start + ROWS)
-        if min(ROWS, n - start) < CROSSOVER or precision > 13 or sys.byteorder != "little":
+        count, last = min(ROWS, n - start), start + ROWS >= n
+        if count < CROSSOVER or precision > 13 or sys.byteorder != "little":
             # the per-float texts, spliced between the literals
             parts = [repeat(literals[0])]
             for column, literal in zip(chunk, literals[1:]):
                 parts += [column if isinstance(column, list) else _float_texts(column, precision, as_json), repeat(literal)]
             text = "".join(chain.from_iterable(zip(*parts)))
-            write(text[: len(text) - len(sep)] if start + ROWS >= n else text)
+            write((text[: len(text) - len(sep)] if last else text).encode("ascii"))
             continue
         cells = [_float_cells(column, precision, as_json) for column in chunk]
         # every row starts as the literals and the one-row cells, with 0 where the other cells go
@@ -340,7 +349,11 @@ def _write_rows(write, n: int, columns, literals, precision: int, as_json: bool,
             (cell.tobytes() if len(cell) == 1 else bytes(cell.shape[1])) + literal
             for cell, literal in zip(cells, encoded[1:])
         )
-        rows = np.empty((min(ROWS, n - start), len(template)), np.uint8)
+        if all(len(cell) == 1 for cell in cells):  # the template is the row; a one-row cell has no 0 byte
+            text = template * count
+            write(memoryview(text)[: len(text) - len(sep)] if last else text)
+            continue
+        rows = np.empty((count, len(template)), np.uint8)
         rows[:] = np.frombuffer(template, np.uint8)
         at = len(encoded[0])
         for cell, literal in zip(cells, encoded[1:]):
@@ -348,11 +361,9 @@ def _write_rows(write, n: int, columns, literals, precision: int, as_json: bool,
                 rows[:, at : at + cell.shape[1]] = cell
             at += cell.shape[1] + len(literal)
         del cells
-        if start + ROWS >= n and sep:  # no separator after the last row
+        if last and sep:  # no separator after the last row
             rows[-1, at - len(sep) :] = 0
-        text = rows[rows != 0]
-        del rows
-        write(text.tobytes().decode("ascii"))
+        write(rows.tobytes().translate(None, b"\0"))  # as fast as a mask per chunk, faster end to end
 
 
 def _write_array(write, array, precision: int, pad: str) -> None:
@@ -360,13 +371,13 @@ def _write_array(write, array, precision: int, pad: str) -> None:
     json.dumps(indent=2) writes a list at indent `pad`, in chunks of ROWS
     rows."""
     sep = f",\n{pad}  "
-    write(f"[\n{pad}  ")
+    write(f"[\n{pad}  ".encode("ascii"))
     if isinstance(array, Trajectory):
         columns = lambda start, stop: list(array.rows(start, stop).T)
         _write_rows(write, len(array.times), columns, ["[", ", ", ", ", "]"], precision, True, sep)
     else:
         _write_rows(write, len(array), lambda start, stop: [array[start:stop]], ["", ""], precision, True, sep)
-    write(f"\n{pad}]")
+    write(f"\n{pad}]".encode("ascii"))
 
 
 def _jsonable(value, precision: int, arrays: list):
@@ -390,10 +401,10 @@ def _jsonable(value, precision: int, arrays: list):
 
 def _render_csv(report: ScenarioReport, precision: int):
     """A writer of the CSV table: called with a `write` callable, it passes
-    the table to it in chunks of ROWS rows."""
+    the table's bytes to it in chunks of ROWS rows."""
 
     def render(write) -> None:
-        write("t,arm,sigma1,sigma2,sigma3\n")
+        write(b"t,arm,sigma1,sigma2,sigma3\n")
         times = report.times
         if len(times) < CROSSOVER:  # formatted once, for every arm
             times = _float_texts(times, precision)
@@ -406,8 +417,8 @@ def _render_csv(report: ScenarioReport, precision: int):
 
 def _render_json(report: ScenarioReport, precision: int):
     """Build the JSON document's skeleton and check its array slots now;
-    return a writer that passes the document to a `write` callable, each
-    array in chunks of ROWS rows."""
+    return a writer that passes the document's bytes to a `write` callable,
+    each array in chunks of ROWS rows."""
     doc = {
         "schema_version": 2,
         "scenario": report.scenario,
@@ -427,13 +438,17 @@ def _render_json(report: ScenarioReport, precision: int):
     if sorted(map(int, pieces[1::2])) != list(range(len(arrays))):
         raise RuntimeError(f"{len(pieces) // 2} slots for {len(arrays)} arrays")
 
+    texts = [piece.encode("ascii") for piece in pieces[::2]]  # json.dumps escapes all else
+    slots = []  # (array, the indent of the slot's line)
+    for k in range(1, len(pieces), 2):
+        line = pieces[k - 1].rpartition("\n")[2]
+        slots.append((arrays[int(pieces[k])], line[: len(line) - len(line.lstrip(" "))]))
+
     def render(write) -> None:
-        write(pieces[0])
-        for k in range(1, len(pieces), 2):
-            line = pieces[k - 1].rpartition("\n")[2]
-            pad = line[: len(line) - len(line.lstrip(" "))]
-            _write_array(write, arrays[int(pieces[k])], precision, pad)
-            write(pieces[k + 1])
+        write(texts[0])
+        for (array, pad), text in zip(slots, texts[1:]):
+            _write_array(write, array, precision, pad)
+            write(text)
 
     return render
 
@@ -446,17 +461,17 @@ def _write_file(path: str, render) -> None:
     # place. Both tests follow symlinks and take the path as given: realpath
     # turns /dev/stdout on a pipe into a name that no file has.
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "wb") as handle:
             render(handle.write)
         return
     target = os.path.realpath(path)  # replace a symlink's target, not the link
     head, tail = os.path.split(target)
     temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        handle = open(temp, "x", encoding="utf-8")
+        handle = open(temp, "xb")
     except FileExistsError:  # left by a killed run that had this pid
         os.unlink(temp)  # removes a symlink itself, never its target
-        handle = open(temp, "x", encoding="utf-8")
+        handle = open(temp, "xb")
     try:
         with handle:
             render(handle.write)
@@ -470,7 +485,8 @@ def emit_report(report: ScenarioReport, cfg: RunConfig) -> int:
     """Write the report in the configured format; 0 if all contracts hold, else 2."""
     render = (_render_csv if cfg.fmt == "csv" else _render_json)(report, cfg.precision)
     if cfg.out is None:
-        render(sys.stdout.write)
+        sys.stdout.flush()  # text already printed goes first
+        render(sys.stdout.buffer.write)
     else:
         _write_file(cfg.out, render)
     return 0 if report.contracts_ok else 2

@@ -26,6 +26,15 @@ motion, a single-point closed form on that same kernel and an independent
 Runge-Kutta integrator of the equations are test oracles in
 tests/oracles.py; the integrator never sees the closed form, and the two
 must agree to tight tolerance.
+
+A branch at a pole (s1 = s2 = 0) never precesses. Its rotation still gives
+signed zeros in s1 and s2 whose signs follow cos and sin, but a sum starts
+from +0 and +0 plus a zero of either sign is +0, while s3 takes the same
+products and sums in every row. So a WeightedSum of pole rotations, or of
+such sums, has the same bits in every row: sec7's and sec8's
+marker-measured arm and its outcomes. The sum decides this once, when it
+is built (`constant`), and computes that row, (+0, +0, s3), with no cos or
+sin; `rows` returns it repeated as a read-only view.
 """
 
 from __future__ import annotations
@@ -84,9 +93,11 @@ class Trajectory:
     form. `rows(start=0, stop=None, turns=None)` evaluates the rows
     [start, stop) of the grid: a `(k, 3)` array, one Bloch vector per time.
     Calls on one slice of the grid that share a `turns` dict evaluate cos
-    and sin once per distinct rate."""
+    and sin once per distinct rate. `constant`: whether every row has the
+    same bits."""
 
     times: np.ndarray
+    constant = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,12 +115,33 @@ class Rotation(Trajectory):
 @dataclass(frozen=True, eq=False)
 class WeightedSum(Trajectory):
     """The sum of weight * trajectory over terms, all on the grid times:
-    zeros, then each term added in order."""
+    zeros, then each term added in order.
+
+    It is constant when every weight is finite and every term is a constant
+    sum or a pole rotation with finite angles (cos and sin of an infinite
+    angle are NaN; the grid ascends from 0, as time_grid's does, so its last
+    angle is the largest). Its one row is then (+0, +0, s3), where s3 takes
+    the products and sums of the column s3, in the same order."""
 
     times: np.ndarray
     terms: tuple[tuple[float, Trajectory], ...]
 
+    def __post_init__(self) -> None:
+        s3 = 0.0
+        for weight, term in self.terms:
+            pole = isinstance(term, Rotation) and term.b0.s1 == 0.0 == term.b0.s2
+            pole = pole and math.isfinite(term.omega * float(term.times[-1]))
+            if not (math.isfinite(weight) and (pole or term.constant)):
+                return
+            s3 += weight * (term.b0.s3 if pole else term._row[0, 2])
+        row = np.array([[0.0, 0.0, s3]])
+        row.setflags(write=False)
+        object.__setattr__(self, "_row", row)
+        object.__setattr__(self, "constant", True)
+
     def rows(self, start: int = 0, stop: int | None = None, turns: dict | None = None) -> np.ndarray:
+        if self.constant:  # the one row, repeated: a read-only view
+            return np.ndarray((self.times[start:stop].size, 3), buffer=self._row, strides=(0, 8))
         turns = {} if turns is None else turns
         points = np.zeros((self.times[start:stop].size, 3))
         for weight, term in self.terms:

@@ -50,10 +50,18 @@ from spinpair.states import BlochVector, Branch, Ensemble, density_of
 
 
 def rendered(render) -> str:
-    """The whole text that a writer from `spinpair.cli` passes to `write`."""
+    """The whole text that a writer from `spinpair.cli` passes to `write`.
+    The sink takes bytes, as a binary file does, and copies each piece when
+    it is written, as a file does; a str fails."""
     parts = []
-    render(parts.append)
-    return "".join(parts)
+
+    def write(data) -> None:
+        if isinstance(data, str):
+            raise TypeError(f"a str reached write: {data[:40]!r}")
+        parts.append(bytes(data))
+
+    render(write)
+    return b"".join(parts).decode("ascii")
 
 
 def fmt(value: float, precision: int) -> str:

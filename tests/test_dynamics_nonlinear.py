@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import bloch_array, closed_form, eom_rhs, integrate_rk4
+from spinpair.cli import CROSSOVER
 from spinpair.dynamics_nonlinear import (
     ROWS,
     EvolutionPolicy,
@@ -321,7 +322,11 @@ class TestEvolveEnsemble:
             rotations += 2 * (len(ens.branches) if policy is EvolutionPolicy.BRANCH_MEANS else 1)
         # the correlated up/down mixture's aggregate s3 is 0.0, so its rate is 0.0 * eps
         assert {(0.0).hex(), (-0.0).hex()} <= set(turns)
-        assert len(turns) == 14 < rotations == 44
+        # Both branches of the up/down mixture sit at the poles, so its
+        # branch-wise sums are constant and fill no pair: the down branch's
+        # rates 2 * eps * -1, -0.8 and 2.0, come from those sums alone.
+        assert {(-0.8).hex(), (2.0).hex()}.isdisjoint(turns)
+        assert len(turns) == 12 < rotations == 44
         assert all(len(c) == len(s) == 200 for c, s in turns.values())
 
     def test_entangled_branch_rejected_under_branch_means(self):
@@ -374,3 +379,88 @@ class TestChunkedRows:
                 parts.append(form.rows(start, start + rows, turns))
         for whole, parts in zip(wholes, chunks):
             np.testing.assert_array_equal(whole.view(np.uint64), np.concatenate(parts).view(np.uint64))
+
+
+def general_rows(form, start, stop):
+    """Rows [start, stop) of a closed form the general way, whatever it is:
+    every rotation evaluated on the slice, sums from zeros in term order."""
+    times = form.times[start:stop]
+    if isinstance(form, Rotation):
+        return _rotation_points(form.b0, form.omega, times)
+    points = np.zeros((times.size, 3))
+    for weight, term in form.terms:
+        points += weight * general_rows(term, start, stop)
+    return points
+
+
+def build_form(spec, times):
+    """A closed form on `times` from a drawn spec: ("rotation", b, omega)
+    or ("sum", [(weight, spec), ...])."""
+    if spec[0] == "rotation":
+        return Rotation(times, spec[1], spec[2])
+    return WeightedSum(times, tuple((weight, build_form(term, times)) for weight, term in spec[1]))
+
+
+def all_poles(spec) -> bool:
+    if spec[0] == "rotation":
+        return spec[1].s1 == 0.0 == spec[1].s2
+    return all(all_poles(term) for _, term in spec[1])
+
+
+ZEROS = st.sampled_from([0.0, -0.0])
+POLE_VECTORS = st.builds(BlochVector, ZEROS, ZEROS, st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0]), st.floats(-1.0, 1.0)))
+# s1 or s2 nonzero, of either sign, and inside the Bloch ball
+OFF_POLE_VECTORS = st.one_of(
+    st.builds(BlochVector, st.floats(-0.5, 0.5).filter(bool), st.floats(-0.5, 0.5), st.floats(-0.7, 0.7)),
+    st.builds(BlochVector, ZEROS, st.sampled_from([5e-324, -5e-324, 0.5]), st.floats(-0.7, 0.7)),
+)
+DRAWN_RATES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.0, -2.0]), st.floats(-50.0, 50.0))
+DRAWN_WEIGHTS = st.one_of(st.sampled_from([-0.0, 0.0, -1.0, 0.25, 0.5]), st.floats(-2.0, 2.0))
+ROTATION_SPECS = st.tuples(st.just("rotation"), st.one_of(POLE_VECTORS, POLE_VECTORS, OFF_POLE_VECTORS), DRAWN_RATES)
+
+
+def sum_specs(terms):
+    return st.tuples(st.just("sum"), st.lists(st.tuples(DRAWN_WEIGHTS, terms), max_size=4))
+
+
+SUM_SPECS = sum_specs(st.recursive(ROTATION_SPECS, sum_specs, max_leaves=6))  # sums of rotations and nested sums
+
+
+class TestConstantSums:
+    """A sum of pole rotations, or of such sums, is constant: its rows are
+    one row repeated, with the bits of the general evaluation."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        spec=SUM_SPECS,
+        points=st.sampled_from([1, 2, CROSSOVER - 1, ROWS + 1]),
+        t_max=st.floats(0.5, 100.0),
+        cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_constant_rows_have_the_general_bits(self, spec, points, t_max, cut):
+        times = np.linspace(0.0, t_max, points)
+        form = build_form(spec, times)
+        # any term off the poles, however deep, sends the sum the general way
+        assert form.constant is all_poles(spec)
+        start = int(cut[0] * points)  # mid-grid starts, and the end itself
+        stop = start + int(cut[1] * (points - start))
+        for rows, end in ((form.rows(start, stop), stop), (form.rows(start, stop, {}), stop), (form.rows(start), None)):
+            expected = general_rows(form, start, end)
+            np.testing.assert_array_equal(rows.view(np.uint64), expected.view(np.uint64))
+            if form.constant:
+                assert not rows.flags.writeable and rows.strides[0] == 0
+
+    def test_infinite_angles_and_weights_take_the_general_route(self):
+        """cos and sin of an infinite angle are NaN, and an infinite weight
+        times a zero is NaN: neither sum is constant, and both come out NaN
+        where the general evaluation is."""
+        times = np.linspace(0.0, 10.0, 5)
+        up = BlochVector(0.0, 0.0, 1.0)
+        overflowing = WeightedSum(times, ((1.0, Rotation(times, up, 1e308)),))
+        infinite = WeightedSum(times, ((np.inf, Rotation(times, up, 1.0)),))
+        finite = WeightedSum(times, ((1.0, Rotation(times, up, 1e307)),))
+        assert (overflowing.constant, infinite.constant, finite.constant) == (False, False, True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for form in (overflowing, infinite, finite):
+                np.testing.assert_array_equal(form.rows().view(np.uint64), general_rows(form, 0, None).view(np.uint64))
+            assert np.isnan(overflowing.rows()[1:, 0]).all() and np.isnan(infinite.rows()[:, 0]).all()

@@ -141,9 +141,10 @@ def test_long_columns_match_the_per_float_route(values, negate, seed, precision,
     expected = [format(x, f".{precision}g") for x in column.tolist()]
     if as_json:
         expected = [repr(float(text)) for text in expected]
-    written = []
-    cli._write_rows(written.append, len(column), lambda start, stop: [column[start:stop]], ["", ""], precision, as_json, "\n")
-    assert "".join(written).split("\n") == expected
+    text = oracles.rendered(
+        lambda write: cli._write_rows(write, len(column), lambda start, stop: [column[start:stop]], ["", ""], precision, as_json, "\n")
+    )
+    assert text.split("\n") == expected
 
 
 def nonconstant_chunks(report):
@@ -288,9 +289,9 @@ def streamed_peak(report, fmt="json"):
     its CSV, into a sink that keeps nothing."""
     size = 0
 
-    def discard(text):
+    def discard(data):
         nonlocal size
-        size += len(text)
+        size += memoryview(data).nbytes  # a str has no memoryview: the writer passes bytes
 
     render = {"json": cli._render_json, "csv": cli._render_csv}[fmt]
     tracemalloc.start()
@@ -400,6 +401,20 @@ def test_out_may_name_stdout_on_a_pipe(stdout, tmp_path):
     path = tmp_path / "out.json"
     assert spinpair(*argv, "--out", str(path)).wait(timeout=60) == 0
     child = spinpair(*argv, "--out", stdout, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (0, b"")
+    assert out == path.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_plain_stdout_on_a_pipe_gets_the_bytes_of_out(fmt, tmp_path):
+    """Without --out the report goes to stdout's binary buffer. A 1,001-point
+    sec8 grid takes the byte matrix, and in JSON the repeated row of the
+    constant marker-measured arm too."""
+    argv = ["run", "sec8", "--t-max", "1", "--dt", "0.001", "--format", fmt]
+    path = tmp_path / f"out.{fmt}"
+    assert spinpair(*argv, "--out", str(path)).wait(timeout=60) == 0
+    child = spinpair(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     out, err = child.communicate(timeout=60)
     assert (child.returncode, err) == (0, b"")
     assert out == path.read_bytes()

@@ -249,7 +249,8 @@ import numpy  # imported untraced: only spinpair's own lines matter
 sys.settrace(trace)
 from spinpair import cli
 
-with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+# stdout as a terminal or pipe has it: a text layer over bytes, which the report goes to
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
         contextlib.redirect_stderr(io.StringIO()):
     codes = [run(*command) for command in commands]
     left = sorted(os.listdir(tmp))

@@ -416,7 +416,7 @@ class TestRunScenario:
         with mock.patch.object(dynamics_nonlinear, "_rotation_points", counted):
             report = run_scenario(ScenarioId.ENTANGLEMENT, cfg)
             evaluated = len(calls)
-            cli._render_csv(report, 12)(lambda text: None)
+            cli._render_csv(report, 12)(memoryview)  # a sink that takes bytes and refuses a str
         assert report.times.size == points and evaluated > 0
         assert (len(calls) > evaluated) is evaluated_again
 
