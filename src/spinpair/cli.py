@@ -9,16 +9,15 @@ closed form on it. JSON (schema version 2) writes the grid once, as the
 top-level `times` of a run with arms, and each trajectory as
 `{"points": [...]}`, one `[s1, s2, s3]` row per line. One row emitter writes
 those rows, the JSON grid and the CSV's `t,arm,s1,s2,s3` rows, a chunk of
-ROWS rows at a time: each chunk's points are evaluated from the closed form
-by `Trajectory.rows` as the chunk is written, so no command holds more than
-one chunk of any trajectory. From CROSSOVER rows on, a chunk is one uint8
-matrix of numpy-formatted float cells and literal separators, read off as
-its nonzero bytes; the values numpy cannot round with certainty, shorter
-chunks and precisions above 13 take the per-float route. A chunk whose
-every cell is one row, as the rows of a constant closed form are, is that
-row's bytes repeated, with no matrix. The writers pass bytes to `write`: a
-file opened in binary mode, or stdout's binary buffer, so no chunk is
-decoded to text and encoded again.
+ROWS rows at a time: each chunk's points are those the report's checks
+kept (`ScenarioReport.rows`), or else evaluated as the chunk is written.
+From CROSSOVER rows on, a chunk is one uint8 matrix of numpy-formatted
+float cells and literal separators, read off as its nonzero bytes; the
+values numpy cannot round with certainty, shorter chunks and precisions
+above 13 take the per-float route. A chunk whose every cell is one row, as
+the rows of a constant closed form are, is that row's bytes repeated, with
+no matrix. The writers pass bytes to `write`: a file opened in binary mode,
+or stdout's binary buffer (ASCII text to a stdout without one).
 """
 
 from __future__ import annotations
@@ -366,14 +365,14 @@ def _write_rows(write, n: int, columns, literals, precision: int, as_json: bool,
         write(rows.tobytes().translate(None, b"\0"))  # as fast as a mask per chunk, faster end to end
 
 
-def _write_array(write, array, precision: int, pad: str) -> None:
+def _write_array(write, array, precision: int, pad: str, rows) -> None:
     """A 1-d grid, or a trajectory's rows each on one line, as
     json.dumps(indent=2) writes a list at indent `pad`, in chunks of ROWS
-    rows."""
+    rows; rows(trajectory, start, stop) gives a chunk's rows."""
     sep = f",\n{pad}  "
     write(f"[\n{pad}  ".encode("ascii"))
     if isinstance(array, Trajectory):
-        columns = lambda start, stop: list(array.rows(start, stop).T)
+        columns = lambda start, stop: list(rows(array, start, stop).T)
         _write_rows(write, len(array.times), columns, ["[", ", ", ", ", "]"], precision, True, sep)
     else:
         _write_rows(write, len(array), lambda start, stop: [array[start:stop]], ["", ""], precision, True, sep)
@@ -409,7 +408,7 @@ def _render_csv(report: ScenarioReport, precision: int):
         if len(times) < CROSSOVER:  # formatted once, for every arm
             times = _float_texts(times, precision)
         for arm_name, trajectory in report.arms.items():
-            columns = lambda start, stop: [times[start:stop], *trajectory.rows(start, stop).T]
+            columns = lambda start, stop: [times[start:stop], *report.rows(trajectory, start, stop).T]
             _write_rows(write, len(times), columns, ["", f",{arm_name},", ",", ",", "\n"], precision, False)
 
     return render
@@ -447,7 +446,7 @@ def _render_json(report: ScenarioReport, precision: int):
     def render(write) -> None:
         write(texts[0])
         for (array, pad), text in zip(slots, texts[1:]):
-            _write_array(write, array, precision, pad)
+            _write_array(write, array, precision, pad, report.rows)
             write(text)
 
     return render
@@ -486,7 +485,8 @@ def emit_report(report: ScenarioReport, cfg: RunConfig) -> int:
     render = (_render_csv if cfg.fmt == "csv" else _render_json)(report, cfg.precision)
     if cfg.out is None:
         sys.stdout.flush()  # text already printed goes first
-        render(sys.stdout.buffer.write)
+        text = lambda data: sys.stdout.write(str(data, "ascii"))  # an io.StringIO has no buffer
+        render(sys.stdout.buffer.write if hasattr(sys.stdout, "buffer") else text)
     else:
         _write_file(cfg.out, render)
     return 0 if report.contracts_ok else 2

@@ -16,16 +16,15 @@ zeros in the order of its terms. Either is bound to the time grid it was
 built on, which it shares and never copies, and `rows(start, stop)`
 evaluates rows [start, stop) of that grid on demand with _rotation_points,
 so neither holds a point array: its caller walks the grid in chunks of ROWS
-rows. Kept wraps an arm on a grid of one chunk, whose rows are then
-evaluated once and kept. Evaluated whole or in chunks, every row comes from
-the same float operations, in the same order. The linearity control
-rotates the same Bloch vectors at the state-independent rate 2*epsilon,
-under which evolution is linear in the state: any two ensembles with one
-reduced density matrix then give the same control. The equations of
-motion, a single-point closed form on that same kernel and an independent
-Runge-Kutta integrator of the equations are test oracles in
-tests/oracles.py; the integrator never sees the closed form, and the two
-must agree to tight tolerance.
+rows, and can have chosen forms evaluated into rows it keeps, to read
+again. Evaluated whole or in chunks, every row comes from the same float
+operations, in the same order. The linearity control rotates the same Bloch
+vectors at the state-independent rate 2*epsilon, under which evolution is
+linear in the state: any two ensembles with one reduced density matrix then
+give the same control. The equations of motion, a single-point closed form
+on that same kernel and an independent Runge-Kutta integrator of the
+equations are test oracles in tests/oracles.py; the integrator never sees
+the closed form, and the two must agree to tight tolerance.
 
 A branch at a pole (s1 = s2 = 0) never precesses. Its rotation still gives
 signed zeros in s1 and s2 whose signs follow cos and sin, but a sum starts
@@ -48,6 +47,7 @@ import numpy as np
 from .states import BlochVector, Ensemble, branch_bloch, reduced_bloch
 
 ROWS = 4096  # grid rows evaluated, checked and written at a time
+KEEP_BYTES = 4 * 2**20  # most bytes of evaluated rows a run keeps for its exporter
 
 
 class EvolutionPolicy(enum.Enum):
@@ -72,16 +72,16 @@ def grid_points(t_max: float, dt: float) -> int:
     return count + 1 if dt * count >= t_max - 1e-9 * dt else count + 2
 
 
-def _rotation_points(b0: BlochVector, omega: float, times: np.ndarray, turns: dict | None = None) -> np.ndarray:
-    """b0 rotated about axis 3 at rate omega, at each time. `turns` keeps the
-    cos and sin of each rate's angles for later calls on the same times."""
+def _rotation_points(b0: BlochVector, omega: float, times: np.ndarray, turns=None, out=None) -> np.ndarray:
+    """b0 rotated about axis 3 at rate omega at each time, into `out` if given.
+    `turns` keeps each rate's cos and sin for later calls on the same times."""
     turns = {} if turns is None else turns
     key = float(omega).hex()  # not the float: 0.0 and -0.0 turn alike but give zeros of different signs
     if key not in turns:
         angles = float(omega) * times
         turns[key] = np.cos(angles), np.sin(angles)
     c, s = turns[key]
-    points = np.empty((times.size, 3))
+    points = np.empty((times.size, 3)) if out is None else out
     points[:, 0] = b0.s1 * c - b0.s2 * s
     points[:, 1] = b0.s2 * c + b0.s1 * s
     points[:, 2] = b0.s3
@@ -90,11 +90,11 @@ def _rotation_points(b0: BlochVector, omega: float, times: np.ndarray, turns: di
 
 class Trajectory:
     """The system spin's Bloch vector on the time grid `times`, in closed
-    form. `rows(start=0, stop=None, turns=None)` evaluates the rows
-    [start, stop) of the grid: a `(k, 3)` array, one Bloch vector per time.
-    Calls on one slice of the grid that share a `turns` dict evaluate cos
-    and sin once per distinct rate. `constant`: whether every row has the
-    same bits."""
+    form. `rows(start, stop, turns, kept)` evaluates the rows [start, stop)
+    of the grid: a `(k, 3)` array, one Bloch vector per time. Calls on one
+    slice that share a `turns` dict evaluate cos and sin once per distinct
+    rate. A form in `kept`, or a sum's term in it, is evaluated into its
+    rows there. `constant`: whether every row has the same bits."""
 
     times: np.ndarray
     constant = False
@@ -108,8 +108,9 @@ class Rotation(Trajectory):
     b0: BlochVector
     omega: float
 
-    def rows(self, start: int = 0, stop: int | None = None, turns: dict | None = None) -> np.ndarray:
-        return _rotation_points(self.b0, self.omega, self.times[start:stop], turns)
+    def rows(self, start: int = 0, stop: int | None = None, turns: dict | None = None, kept=None) -> np.ndarray:
+        out = kept[self][start:stop] if kept and self in kept else None
+        return _rotation_points(self.b0, self.omega, self.times[start:stop], turns, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,28 +140,15 @@ class WeightedSum(Trajectory):
         object.__setattr__(self, "_row", row)
         object.__setattr__(self, "constant", True)
 
-    def rows(self, start: int = 0, stop: int | None = None, turns: dict | None = None) -> np.ndarray:
+    def rows(self, start: int = 0, stop: int | None = None, turns: dict | None = None, kept=None) -> np.ndarray:
         if self.constant:  # the one row, repeated: a read-only view
             return np.ndarray((self.times[start:stop].size, 3), buffer=self._row, strides=(0, 8))
         turns = {} if turns is None else turns
-        points = np.zeros((self.times[start:stop].size, 3))
+        points = kept[self][start:stop] if kept and self in kept else np.empty((self.times[start:stop].size, 3))
+        points.fill(0.0)
         for weight, term in self.terms:
-            points += weight * term.rows(start, stop, turns)
+            points += weight * term.rows(start, stop, turns, kept)
         return points
-
-
-class Kept(Trajectory):
-    """A trajectory that evaluates its rows on the whole grid once, at the
-    first call, and keeps them read-only; for a grid of at most ROWS rows."""
-
-    def __init__(self, trajectory: Trajectory) -> None:
-        self.trajectory, self.times, self.points = trajectory, trajectory.times, None
-
-    def rows(self, start: int = 0, stop: int | None = None, turns: dict | None = None) -> np.ndarray:
-        if self.points is None:
-            self.points = self.trajectory.rows(0, None, turns)
-            self.points.setflags(write=False)
-        return self.points[start:stop]
 
 
 def evolve_ensemble(

@@ -31,27 +31,27 @@ second time, from the same Bloch vectors, at the state-independent rate
 contrast on the state-dependent rate and nothing else. The control is
 summed like the arm it belongs to and is not kept in the report.
 
-A run stores no trajectory's points. It walks the grid in chunks of ROWS
-rows, evaluates both arms and both controls on each chunk, and keeps only
-the largest gap of every check, the divergences and the control: a
-maximum is exact, so the chunks change no value, and a run's memory is
-one chunk's whatever the grid.
+A run walks the grid in chunks of ROWS rows, evaluates both arms and both
+controls on each chunk, and keeps the largest gap of every check, the
+divergences and the control: a maximum is exact, so the chunks change no
+value. The report also keeps the rows the checks evaluated of the arms and
+outcomes that vary, for the exporter, if they fit KEEP_BYTES.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .dynamics_linear import no_signalling_suite
 from .dynamics_nonlinear import (
+    KEEP_BYTES,
     ROWS,
     EvolutionPolicy,
-    Kept,
     Trajectory,
     WeightedSum,
     evolve_ensemble,
@@ -185,10 +185,16 @@ class ScenarioReport:
     divergence: float
     narrative: dict
     checks: tuple[ContractCheck, ...]
+    kept: Mapping[Trajectory, np.ndarray] = field(default_factory=dict)  # rows the checks evaluated, read-only
 
     @property
     def contracts_ok(self) -> bool:
         return all(check.passed for check in self.checks)
+
+    def rows(self, trajectory: Trajectory, start: int, stop: int) -> np.ndarray:
+        """A trajectory's rows [start, stop): read from its kept rows, or evaluated now."""
+        rows = self.kept.get(trajectory)
+        return trajectory.rows(start, stop) if rows is None else rows[start:stop]
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +488,13 @@ def _refuse_without_contrast(cfg: ScenarioConfig) -> None:
         )
 
 
-def _chunk_gaps(spec: ScenarioSpec, cfg: ScenarioConfig, times, arms: dict, controls: dict, start: int) -> tuple:
+def _chunk_gaps(spec: ScenarioSpec, cfg: ScenarioConfig, times, arms, controls, start: int, kept) -> tuple:
     """On the grid rows [start, start + ROWS): the divergence, the largest
     Bloch distance between the arms and between their controls, then the
-    gaps of spec.deviations."""
+    gaps of spec.deviations. Arms and outcomes in `kept` are evaluated into their rows there."""
     stop = start + ROWS
     turns = {}  # cos and sin per distinct rate, shared by every rotation of the chunk
-    arm_a, arm_b = (arms[key].rows(start, stop, turns) for key in ARM_KEYS)
+    arm_a, arm_b = (arms[key].rows(start, stop, turns, kept) for key in ARM_KEYS)
     control_a, control_b = (controls[key].rows(start, stop, turns) for key in ARM_KEYS)
     deviations = spec.deviations(cfg, times[start:stop], arm_a, arm_b)
     return (
@@ -522,15 +528,10 @@ def run_scenario(scenario: ScenarioId, cfg: ScenarioConfig) -> ScenarioReport:
         return ScenarioReport(scenario, cfg, None, {}, divergence, narrative, checks)
 
     times = time_grid(cfg.t_max, cfg.dt)
-    # The checks evaluate a grid of one chunk whole; its arms keep those rows
-    # for the exporter instead of evaluating them again, which made 101-point
-    # CSV runs 4.5% slower (BENCH_closed_forms.json, kept_ablation).
-    keep = Kept if times.size <= ROWS else lambda trajectory: trajectory
     arms, controls, outcomes, per_outcome = {}, {}, {}, {}
     for key, arm, prepared in zip(ARM_KEYS, spec.arms, preps):
         if arm.basis is None:
-            traj, controls[key] = evolve_ensemble(prepared, arm.policy, cfg.epsilon, times)
-            arms[key] = keep(traj)
+            arms[key], controls[key] = evolve_ensemble(prepared, arm.policy, cfg.epsilon, times)
             continue
         terms, fixed_terms = [], []
         outcomes[key] = []
@@ -547,11 +548,16 @@ def run_scenario(scenario: ScenarioId, cfg: ScenarioConfig) -> ScenarioReport:
                     "post_branches": _describe_ensemble(post),
                 }
             )
-        arms[key], controls[key] = keep(WeightedSum(times, tuple(terms))), WeightedSum(times, tuple(fixed_terms))
+        arms[key], controls[key] = WeightedSum(times, tuple(terms)), WeightedSum(times, tuple(fixed_terms))
 
+    # the checks evaluate the varying arms and their varying outcomes into one block, if it fits
+    varying = [arm for arm in arms.values() if not arm.constant]
+    varying += [term for key in outcomes if arms[key] in varying for _, term in arms[key].terms if not term.constant]
+    fits = 3 * times.nbytes * len(varying) <= KEEP_BYTES
+    kept = dict(zip(varying, np.empty((len(varying), times.size, 3)))) if fits else {}
     # a maximum over the grid is the maximum of the chunks' maxima; np.max
     # keeps a NaN of any chunk, so the check it reaches fails
-    chunks = [_chunk_gaps(spec, cfg, times, arms, controls, start) for start in range(0, times.size, ROWS)]
+    chunks = [_chunk_gaps(spec, cfg, times, arms, controls, start, kept) for start in range(0, times.size, ROWS)]
     divergence, bloch_divergence, control_gap, *gaps = np.array(chunks).max(axis=0).tolist()
     extras = spec.extras(cfg, preps)
     checks = (
@@ -567,4 +573,6 @@ def run_scenario(scenario: ScenarioId, cfg: ScenarioConfig) -> ScenarioReport:
         "per_outcome_trajectories": per_outcome,
         "bloch_divergence": bloch_divergence,
     }
-    return ScenarioReport(scenario, cfg, times, arms, divergence, narrative, checks)
+    for rows in kept.values():
+        rows.setflags(write=False)
+    return ScenarioReport(scenario, cfg, times, arms, divergence, narrative, checks, kept)

@@ -379,6 +379,17 @@ class TestChunkedRows:
                 parts.append(form.rows(start, start + rows, turns))
         for whole, parts in zip(wholes, chunks):
             np.testing.assert_array_equal(whole.view(np.uint64), np.concatenate(parts).view(np.uint64))
+        # A form in `kept` is evaluated into its rows there, as a sum or as a
+        # sum's term (every rotation is a term of a sum, and two sums of the
+        # nested one), with the same bits.
+        kept = {form: np.empty((times.size, 3)) for form in forms if not form.constant}
+        for start in range(0, times.size, rows):
+            turns = {}
+            for form in forms:
+                if isinstance(form, WeightedSum):
+                    assert np.shares_memory(form.rows(start, start + rows, turns, kept), kept[form])
+        for form, whole in zip(forms, wholes):
+            np.testing.assert_array_equal(whole.view(np.uint64), kept[form].view(np.uint64))
 
 
 def general_rows(form, start, stop):

@@ -8,6 +8,8 @@ writes: atomically to `--out`, the same bytes to stdout, and in memory that
 stays near one chunk.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -21,8 +23,9 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
-from spinpair import cli
+from spinpair import cli, scenarios
 from spinpair.cli import RunConfig, emit_report, main
+from spinpair.dynamics_nonlinear import ROWS
 from spinpair.scenarios import (
     SPECS,
     BasisChoice,
@@ -228,6 +231,45 @@ def test_grids_at_a_chunk_boundary_match_the_per_float_route(rows, points):
     report = run_scenario(ScenarioId.ENTANGLEMENT, ScenarioConfig(t_max=points - 1, dt=1.0))
     assert len(report.arms["armA"].rows()) == points
     assert_matches_the_oracle(report, 12, [rows])
+
+
+# Every command that writes arms, in both formats, on grids of one chunk of
+# the checks' rows, of exactly two, and of three ending mid-chunk (the
+# default), with the precision running through 6-17 across the cases.
+VARIANTS = [["sec5"], ["sec6"], ["sec7"], ["sec8", "--basis", "updown"], ["sec8", "--basis", "diag"]]
+GRIDS = [["--t-max", "1", "--dt", "0.001"], ["--t-max", f"{2 * ROWS - 1}", "--dt", "1"], []]
+KEPT_COMMANDS = [
+    ["run", *variant, *grid, "--format", fmt]
+    for variant in VARIANTS
+    for grid in GRIDS
+    for fmt in ("csv", "json")
+]
+KEPT_COMMANDS = [[*argv, "--precision", str(6 + k % 12)] for k, argv in enumerate(KEPT_COMMANDS)]
+
+
+def command_run(argv):
+    """(report, a function that returns the text the command writes for it),
+    through the command's own parse, run and renderer."""
+    cfg = cli.parse_args(argv)
+    report = run_scenario(cfg.scenario, cfg.config)
+    render = cli._render_json if cfg.fmt == "json" else cli._render_csv
+    return report, lambda: oracles.rendered(render(report, cfg.precision))
+
+
+@pytest.mark.parametrize("argv", KEPT_COMMANDS, ids=" ".join)
+def test_kept_rows_write_the_bytes_of_rows_evaluated_again(argv):
+    """The export reads the rows the checks kept. It writes the same bytes
+    when nothing is kept (KEEP_BYTES 0), so that every chunk is evaluated
+    again, and when its chunks are not the checks' chunks."""
+    report, render = command_run(argv)
+    text = render()
+    assert report.kept and not any(rows.flags.writeable for rows in report.kept.values())
+    with mock.patch.object(scenarios, "KEEP_BYTES", 0):
+        unkept, render_unkept = command_run(argv)
+        assert not unkept.kept and render_unkept() == text
+    for rows in (1000, ROWS + 1):
+        with mock.patch.object(cli, "ROWS", rows):
+            assert render() == text
 
 
 @pytest.mark.parametrize("precision", [6, 12, 13, 16])
@@ -449,6 +491,20 @@ def test_the_cap_run_stays_near_one_chunk(fmt):
     code, max_rss_kib = map(int, measured.stdout.split())
     assert code == 0
     assert max_rss_kib / 1024 <= CAP_RUN_RSS_MB
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_text_stdout_gets_the_text_of_out(fmt, tmp_path):
+    """A stdout with no binary buffer, as contextlib.redirect_stdout often
+    installs, gets the document as ASCII text. A 1,001-point sec8 grid takes
+    the byte matrix, and in JSON a constant arm's repeated row, whose last
+    chunk goes to write as a memoryview."""
+    args = ["run", "sec8", "--t-max", "1", "--dt", "0.001", "--format", fmt]
+    path = tmp_path / f"out.{fmt}"
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(args) == 0
+    assert main([*args, "--out", str(path)]) == 0
+    assert stdout.getvalue().encode("ascii") == path.read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -4,7 +4,8 @@ A fresh interpreter imports spinpair.cli under a sys.settrace hook that
 records each line it executes in the package, then runs the command line
 at small sizes: every command, every scenario in both formats at each
 precision path, both sec8 bases, grids long enough for the numpy formatter,
-epsilons small enough for its rare cells, output to a file, to stdout, to a
+epsilons small enough for its rare cells, a grid too long for the report to
+keep its rows, output to a file, to stdout, to a
 device, over a stale temporary file and past a file-size limit, `python -m
 spinpair`, and every refusal. Each command carries the exit code it must
 end in. The executable lines are those of every code object compiled from
@@ -166,6 +167,8 @@ COMMANDS = [
     (0, ["run", "sec8", *SMALL, "--basis", "updown", *OUT]),
     (0, ["run", "sec8", *SMALL, "--basis", "diag", "--format", "json", *OUT]),
     *((0, ["run", "sec8", *LONG, "--format", fmt, *OUT]) for fmt in ("csv", "json")),
+    # a grid whose rows exceed KEEP_BYTES: the report keeps none, and the export evaluates them again
+    (0, ["run", "sec6", "--t-max", "100", "--out", os.devnull]),
     # values the numpy formatter leaves to the per-float route (negative
     # subnormals, whose texts are wider than its cells, and normals below
     # 1e-307, which JSON spells as they are) or writes with three exponent digits

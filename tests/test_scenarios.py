@@ -19,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinpair import cli, dynamics_nonlinear, scenarios
-from spinpair.cli import main
-from spinpair.dynamics_nonlinear import ROWS, time_grid
+from spinpair.cli import BY_NAME, main
+from spinpair.dynamics_nonlinear import KEEP_BYTES, ROWS, time_grid
 from spinpair.scenarios import (
     MAX_ANGLE,
     MAX_GRID_POINTS,
@@ -46,6 +46,10 @@ FAST = ScenarioConfig(t_max=4.0, dt=1e-3)
 # largest |epsilon| the angle cap accepts there.
 LONGEST_T_MAX = 1000.0
 LONGEST_EPSILON_CAP = MAX_ANGLE / (2.0 * LONGEST_T_MAX)
+
+# sec8 keeps three trajectories that vary, the diag arm and its two
+# outcomes, 24 bytes a row each: grids of at most KEPT_POINTS points fit.
+KEPT_POINTS = KEEP_BYTES // (3 * 24)
 
 # Every entry that contrasts two trajectories, read from the table itself.
 NONLINEAR = [scenario for scenario, spec in SPECS.items() if spec.arms]
@@ -364,8 +368,8 @@ class TestRunScenario:
         of a two-chunk grid reaches its check and fails it."""
         chunk_gaps = scenarios._chunk_gaps
 
-        def poisoned(spec, cfg, times, arms, controls, start):
-            gaps = list(chunk_gaps(spec, cfg, times, arms, controls, start))
+        def poisoned(spec, cfg, times, arms, controls, start, kept):
+            gaps = list(chunk_gaps(spec, cfg, times, arms, controls, start, kept))
             if start + ROWS >= times.size:
                 gaps[slot] = math.nan
             return tuple(gaps)
@@ -378,10 +382,11 @@ class TestRunScenario:
     def test_a_report_retains_one_grid(self):
         """A report stores the time grid, 8 bytes per grid point, and closed
         forms: every trajectory, in the arms and in the narrative, shares
-        that grid and holds no point array. What a sec8 run keeps is the grid
-        and a fixed allowance, and so is its peak: the checks evaluate the
-        arms a chunk of ROWS rows at a time, which took 1.0 MiB at these
-        sizes; the allowance is twice that."""
+        that grid and holds no point array. On a grid whose rows exceed
+        KEEP_BYTES, as these do, it keeps no rows either: what a sec8 run
+        keeps is the grid and a fixed allowance, and so is its peak. The
+        checks evaluate the arms a chunk of ROWS rows at a time, which took
+        1.0 MiB at these sizes; the allowance is twice that."""
         allowance = 2**21
         for t_max in (100.0, 400.0):
             cfg = ScenarioConfig(t_max=t_max)
@@ -398,13 +403,16 @@ class TestRunScenario:
             assert len(trajectories) == 6
             assert all(trajectory.times is report.times for trajectory in trajectories)
             assert report.times.nbytes == 8 * points
+            assert report.kept == {}
 
-
-    @pytest.mark.parametrize("points, evaluated_again", [(ROWS, False), (ROWS + 1, True)])
-    def test_a_grid_of_one_chunk_is_evaluated_once(self, points, evaluated_again):
-        """The checks evaluate a grid of at most ROWS rows whole, and the
-        arms keep those rows: the CSV export evaluates no rotation again.
-        A longer grid keeps none."""
+    @pytest.mark.parametrize(
+        "points, evaluated_again", [(ROWS, False), (KEPT_POINTS, False), (KEPT_POINTS + 1, True)]
+    )
+    def test_a_grid_within_the_budget_is_evaluated_once(self, points, evaluated_again):
+        """The report keeps the rows the checks evaluate when the rows of its
+        trajectories that vary fit KEEP_BYTES: the CSV export then evaluates
+        no rotation again. A longer grid keeps none. Either way the CSV has
+        the bytes of a run that keeps nothing."""
         cfg = ScenarioConfig(t_max=points - 1, dt=1.0)
         calls = []
 
@@ -412,13 +420,50 @@ class TestRunScenario:
             calls.append(args)
             return rotation_points(*args)
 
+        def written(report):
+            parts = []
+            cli._render_csv(report, 12)(lambda data: parts.append(bytes(data)))  # bytes() refuses a str
+            return b"".join(parts)
+
         rotation_points = dynamics_nonlinear._rotation_points
         with mock.patch.object(dynamics_nonlinear, "_rotation_points", counted):
             report = run_scenario(ScenarioId.ENTANGLEMENT, cfg)
             evaluated = len(calls)
-            cli._render_csv(report, 12)(memoryview)  # a sink that takes bytes and refuses a str
+            text = written(report)
         assert report.times.size == points and evaluated > 0
         assert (len(calls) > evaluated) is evaluated_again
+        assert bool(report.kept) is not evaluated_again
+        with mock.patch.object(scenarios, "KEEP_BYTES", 0):
+            assert written(run_scenario(ScenarioId.ENTANGLEMENT, cfg)) == text
+
+    @pytest.mark.parametrize(
+        "name, checks, again", [("sec5", 6, 9), ("sec6", 12, 15), ("sec7", 9, 12), ("sec8", 9, 12)]
+    )
+    def test_each_chunk_takes_its_cos_and_sin_once_per_command(self, name, checks, again):
+        """On the default grid of three chunks the checks take one cos/sin
+        pair per distinct rate and chunk, and the JSON export, which reads the
+        rows they kept, takes none. With nothing kept (KEEP_BYTES 0) the
+        export evaluates every arm and outcome again: `again` pairs."""
+        counted = []
+
+        class CountingNumpy:  # numpy as dynamics_nonlinear sees it, with its cos calls counted
+            def __getattr__(self, attr):
+                return getattr(np, attr)
+
+            def cos(self, angles):
+                counted.append(angles.size)
+                return np.cos(angles)
+
+        counting = mock.patch.object(dynamics_nonlinear, "np", CountingNumpy())
+        for budget, exported in ((KEEP_BYTES, 0), (0, again)):
+            with counting, mock.patch.object(scenarios, "KEEP_BYTES", budget):
+                report = run_scenario(BY_NAME[name], ScenarioConfig())
+                evaluated = len(counted)
+                cli._render_json(report, 12)(memoryview)
+            assert (evaluated, len(counted) - evaluated) == (checks, exported)
+            # each chunk takes the same rates: a third of the pairs cover the grid
+            assert sum(counted) == (checks + exported) // 3 * report.times.size
+            counted.clear()
 
 
 class TestSharedState:
