@@ -25,9 +25,9 @@ from __future__ import annotations
 import argparse
 import enum
 import json
-import math
 import os
 import re
+import stat
 import sys
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
@@ -174,28 +174,33 @@ def parse_args(argv) -> RunConfig:
 
 def _float_texts(column, precision: int, as_json: bool = False) -> list[str]:
     """The `%.{precision}g` text of each value of a 1-d float array; as JSON,
-    spelled the way json writes float(text). A column whose entries share
-    one bit pattern is formatted once. This is the per-float route, one Python
-    call per value, for short chunks, high precisions and `_float_cells`' rest."""
+    `repr(float(text))`, the spelling json writes for the rounded value. A
+    column whose entries share one bit pattern is formatted once. This is the
+    per-float route, one Python call per value, for short chunks, high
+    precisions and `_float_cells`' rest."""
     if len(column) > 1 and _one_bit_pattern(column):
         return _float_texts(column[:1], precision, as_json) * len(column)
     values = column.tolist()
     if as_json and precision == 17:  # '%.17g' always reads back to x itself
         return list(map(repr, values))
-    if as_json and precision == 16:
-        return list(map(_repr16, values))
     spec = f"%.{precision}g"
     texts = [spec % x for x in values]
     if as_json:
-        # Integral texts ("0", "-0", "1e+12") and subnormal texts need
-        # respelling. Rounding to `precision` digits moves x by at most half a
-        # unit of its last digit, so near-integers (which include every
-        # |x| >= 10**(precision - 1)) and |x| < 1e-307 cover them all.
-        size = np.abs(column)
-        flagged = (size < 1e-307) | (np.abs(column - np.rint(column)) <= size * 10.0 ** (1 - precision))
-        for i in np.flatnonzero(flagged).tolist():
-            if "." not in texts[i] or "e" in texts[i]:
-                texts[i] = _json_spelling(texts[i])
+        # A text of at most 15 significant digits reads back to a float whose
+        # shortest repr has the same digits, so below 16 only integral ("0",
+        # "-0", "1e+12"), "e+XX" and subnormal texts can be spelled otherwise:
+        # rounding to `precision` digits moves x by at most half a unit of its
+        # last digit, so near-integers (which include every
+        # |x| >= 10**(precision - 1)) and |x| < 1e-307 cover them all. At 16
+        # digits several texts can read back to one float, so any can be.
+        if precision == 16:
+            respell = range(len(texts))
+        else:
+            size = np.abs(column)
+            flagged = (size < 1e-307) | (np.abs(column - np.rint(column)) <= size * 10.0 ** (1 - precision))
+            respell = [i for i in np.flatnonzero(flagged).tolist() if "." not in texts[i] or "e" in texts[i]]
+        for i in respell:
+            texts[i] = repr(float(texts[i]))
     return texts
 
 
@@ -210,25 +215,6 @@ def _one_bit_pattern(column) -> bool:
     if column[-1] != first or not (column == first).all():
         return False
     return first != 0.0 or bool((np.signbit(column) == np.signbit(first)).all())
-
-
-def _repr16(x: float) -> str:
-    """repr(float('%.16g' % x)). Where repr(x) has at most 16 significant
-    digits, the nearest 16-digit decimal reads back to x too, so the two agree;
-    not at a power of two, whose rounding interval is narrower below it."""
-    text = repr(x)
-    if len(text.partition("e")[0].replace(".", "").strip("-0")) <= 16 and abs(math.frexp(x)[0]) != 0.5:
-        return text
-    return repr(float("%.16g" % x))
-
-
-def _json_spelling(text: str) -> str:
-    if "e" not in text:
-        return text + ".0"  # "0" -> "0.0", "-0" -> "-0.0"
-    value = float(text)
-    if "e-" in text and abs(value) >= sys.float_info.min:
-        return text  # "1.5e-05" is repr's spelling too
-    return repr(value)  # "1e+12" -> "1000000000000.0"; "4.94065645841e-324" -> "5e-324"
 
 
 def _text_cells(texts: list[str]) -> np.ndarray:
@@ -304,13 +290,14 @@ def _float_cells(column, precision: int, as_json: bool = False) -> np.ndarray:
     cells[:, 7 : 7 + 2 * last + 2 : 2] = np.where(np.arange(last + 1) == point[:, None], 46, 0)
     at = 6 + p + last + 1
     cells[:, 6 + 2 * last + 2 : at] = digits[:, last + 1 :]
-    if has_expo:  # "e", the sign, and two or three digits
-        cells[:, at] = np.where(expo, 101, 0)
-        cells[:, at + 1] = np.where(expo, np.where(e < 0, 45, 43), 0)
+    if has_expo:  # "e", the sign, and two or three digits, in the rows in exponent form
+        rows = np.flatnonzero(expo)
+        power = np.abs(e[rows])
+        cells[rows, at] = 101
+        cells[rows, at + 1] = np.where(e[rows] < 0, 45, 43)
         if wide:
-            cells[:, at + 2] = np.where(expo & (np.abs(e) >= 100), 48 + np.abs(e) // 100, 0)
-        tens = _PAIRS.take(np.abs(e) % 100).view(np.uint8).reshape(n, 2)
-        cells[:, at + 2 + wide :] = np.where(expo[:, None], tens, 0)
+            cells[rows, at + 2] = np.where(power >= 100, 48 + power // 100, 0)
+        cells[rows, at + 2 + wide :] = _PAIRS.take(power % 100).view(np.uint8).reshape(-1, 2)
     rest = np.flatnonzero(~ok)
     if rest.size:
         texts = _text_cells(_float_texts(column[rest], p, as_json))
@@ -455,7 +442,8 @@ def _render_json(report: ScenarioReport, precision: int):
 def _write_file(path: str, render) -> None:
     """Write through a temporary file next to the target, moved into place
     once the whole document is written: a failed render or write leaves no
-    partial file, and a file already there keeps its old bytes."""
+    partial file, and a file already there keeps its old bytes until then
+    and its permission bits after."""
     # /dev/null, a FIFO, /dev/stdout on a pipe: nothing to replace, so write in
     # place. Both tests follow symlinks and take the path as given: realpath
     # turns /dev/stdout on a pipe into a name that no file has.
@@ -465,7 +453,10 @@ def _write_file(path: str, render) -> None:
         return
     target = os.path.realpath(path)  # replace a symlink's target, not the link
     head, tail = os.path.split(target)
-    temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    # ".{name}.{pid}.tmp", the name cut to the bytes the file system allows
+    suffix = f".{os.getpid()}.tmp"
+    room = os.pathconf(head, "PC_NAME_MAX") - 1 - len(suffix)
+    temp = os.path.join(head, f".{os.fsdecode(os.fsencode(tail)[:room])}{suffix}")
     try:
         handle = open(temp, "xb")
     except FileExistsError:  # left by a killed run that had this pid
@@ -473,6 +464,10 @@ def _write_file(path: str, render) -> None:
         handle = open(temp, "xb")
     try:
         with handle:
+            try:
+                os.fchmod(handle.fileno(), stat.S_IMODE(os.stat(target).st_mode))
+            except FileNotFoundError:  # a new file takes the umask's
+                pass
             render(handle.write)
         os.replace(temp, target)
     except BaseException:
@@ -484,6 +479,8 @@ def emit_report(report: ScenarioReport, cfg: RunConfig) -> int:
     """Write the report in the configured format; 0 if all contracts hold, else 2."""
     render = (_render_csv if cfg.fmt == "csv" else _render_json)(report, cfg.precision)
     if cfg.out is None:
+        if sys.stdout is None:  # fd 1 was closed when Python started
+            raise OSError("stdout is closed; use --out")
         sys.stdout.flush()  # text already printed goes first
         text = lambda data: sys.stdout.write(str(data, "ascii"))  # an io.StringIO has no buffer
         render(sys.stdout.buffer.write if hasattr(sys.stdout, "buffer") else text)

@@ -47,7 +47,6 @@ import numpy as np
 from .states import BlochVector, Ensemble, branch_bloch, reduced_bloch
 
 ROWS = 4096  # grid rows evaluated, checked and written at a time
-KEEP_BYTES = 4 * 2**20  # most bytes of evaluated rows a run keeps for its exporter
 
 
 class EvolutionPolicy(enum.Enum):

@@ -49,7 +49,6 @@ import numpy as np
 
 from .dynamics_linear import no_signalling_suite
 from .dynamics_nonlinear import (
-    KEEP_BYTES,
     ROWS,
     EvolutionPolicy,
     Trajectory,
@@ -87,6 +86,7 @@ MAX_ANGLE = 2.0**24
 # products up to 2.2e-16 in sweeps over log-spread p and angles; the bound
 # sits over 4000 times higher and still far below the 1e-8 checks.
 MIN_CONTRAST = 1e-12
+KEEP_BYTES = 4 * 2**20  # most bytes of evaluated rows a run keeps for its exporter
 
 
 class ScenarioId(enum.Enum):

@@ -426,6 +426,49 @@ def test_out_may_name_a_device():
     assert not os.path.isfile(os.devnull)
 
 
+def test_a_long_out_name_is_written(tmp_path):
+    """A 250-byte file name is valid, though ".{name}.{pid}.tmp" is longer
+    than the 255 bytes a name may have: the temporary name is cut to fit."""
+    args = ["run", "sec5", "--t-max", "1", "--dt", "0.1", "--out"]
+    assert main([*args, str(tmp_path / ("a" * 250))]) == 0
+    assert main([*args, str(tmp_path / "short")]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["a" * 250, "short"]
+    assert (tmp_path / ("a" * 250)).read_bytes() == (tmp_path / "short").read_bytes()
+
+
+@contextlib.contextmanager
+def umask(mask):
+    old = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o754], ids=oct)
+def test_a_replaced_file_keeps_its_mode(mode, tmp_path):
+    """Under a umask that gives a new file 0644, a file already there keeps
+    its permission bits, and a new one takes the umask's."""
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old bytes\n")
+    path.chmod(mode)
+    args = ["run", "sec5", "--t-max", "1", "--dt", "0.1", "--out"]
+    with umask(0o022):
+        assert main([*args, str(path)]) == 0
+        assert main([*args, str(tmp_path / "new.csv")]) == 0
+    assert path.read_text().startswith("t,arm,sigma1,sigma2,sigma3\n")
+    assert path.stat().st_mode & 0o7777 == mode
+    assert (tmp_path / "new.csv").stat().st_mode & 0o7777 == 0o644
+
+
+def test_a_closed_stdout_exits_one(monkeypatch, capsys):
+    """Python sets sys.stdout to None when it starts with fd 1 closed; the
+    run ends in one error line that points to --out, not a traceback."""
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["run", "sec5", "--t-max", "1", "--dt", "0.1"]) == 1
+    assert capsys.readouterr().err == "error: stdout is closed; use --out\n"
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(__file__))), "src")
 
 

@@ -5,7 +5,7 @@ records each line it executes in the package, then runs the command line
 at small sizes: every command, every scenario in both formats at each
 precision path, both sec8 bases, grids long enough for the numpy formatter,
 epsilons small enough for its rare cells, a grid too long for the report to
-keep its rows, output to a file, to stdout, to a
+keep its rows, output to a file, to stdout, to a closed stdout, to a
 device, over a stale temporary file and past a file-size limit, `python -m
 spinpair`, and every refusal. Each command carries the exit code it must
 end in. The executable lines are those of every code object compiled from
@@ -171,7 +171,8 @@ COMMANDS = [
     (0, ["run", "sec6", "--t-max", "100", "--out", os.devnull]),
     # values the numpy formatter leaves to the per-float route (negative
     # subnormals, whose texts are wider than its cells, and normals below
-    # 1e-307, which JSON spells as they are) or writes with three exponent digits
+    # 1e-307, whose texts JSON reads back and respells) or writes with three
+    # exponent digits
     *(
         (0, ["run", "sec8", *LONG, "--epsilon", epsilon, "--format", fmt, *OUT])
         for epsilon in ("-1e-310", "1e-307", "1e-200")
@@ -181,6 +182,7 @@ COMMANDS = [
     (0, ["run", "sec5", *SMALL]),
     (0, ["run", "sec5", *SMALL, "--out", os.devnull]),
     (0, ["run", "sec5", *SMALL, *OUT], "stale-temp"),
+    (1, ["run", "sec5", *SMALL], "closed-stdout"),
     (1, ["run", "sec5", "--out", "{tmp}/missing/out"]),
     (1, ["run", "sec8", "--format", "json", "--out", "{tmp}/big"], "file-size-limit"),
     (0, ["list"], "entry"),
@@ -235,6 +237,9 @@ def run(argv, how=None):
             return exc.code
     if how == "stale-temp":  # as a killed run with this pid would leave it
         open(os.path.join(tmp, f".out.{os.getpid()}.tmp"), "x").close()
+    if how == "closed-stdout":  # as Python starts with fd 1 closed
+        with contextlib.redirect_stdout(None):
+            return cli.main(argv)
     if how != "file-size-limit":
         return cli.main(argv)
     # this process's writes past 1 MiB fail with EFBIG, and SIGXFSZ does not kill it

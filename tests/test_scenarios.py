@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from spinpair import cli, dynamics_nonlinear, scenarios
 from spinpair.cli import BY_NAME, main
-from spinpair.dynamics_nonlinear import KEEP_BYTES, ROWS, time_grid
+from spinpair.dynamics_nonlinear import ROWS, time_grid
 from spinpair.scenarios import (
+    KEEP_BYTES,
     MAX_ANGLE,
     MAX_GRID_POINTS,
     MAX_TRIALS,
