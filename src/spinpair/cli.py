@@ -158,6 +158,8 @@ def parse_args(argv) -> RunConfig:
         raise UsageError("a command is required: run, verify-linear, or list")
     if ns.command == "list":
         return RunConfig("list", None, ScenarioConfig(), None, "csv", 12)
+    if ns.out == "":  # would name the working directory, found only after the run
+        raise UsageError("--out must name a file")
     # verify-linear is `run linear`: the same suite, flags and defaults
     requested = "linear" if ns.command == "verify-linear" else ns.scenario
     name = ALIASES.get(requested, requested)
@@ -439,16 +441,29 @@ def _render_json(report: ScenarioReport, precision: int):
     return render
 
 
+def _std_fd(path: str) -> int | None:
+    """1 or 2 if path is the file open on stdout or stderr, as /dev/stdout
+    and /dev/stderr are, else None."""
+    for fd in (1, 2):
+        try:
+            if os.path.samestat(os.stat(path), os.fstat(fd)):
+                return fd
+        except OSError:  # no such file, or the descriptor is closed
+            pass
+    return None
+
+
 def _write_file(path: str, render) -> None:
     """Write through a temporary file next to the target, moved into place
     once the whole document is written: a failed render or write leaves no
     partial file, and a file already there keeps its old bytes until then
     and its permission bits after."""
-    # /dev/null, a FIFO, /dev/stdout on a pipe: nothing to replace, so write in
-    # place. Both tests follow symlinks and take the path as given: realpath
-    # turns /dev/stdout on a pipe into a name that no file has.
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "wb") as handle:
+    # stdout or stderr: written through the descriptor, so a `>> log` behind it
+    # is appended to, as without --out. /dev/null, a FIFO: nothing to replace,
+    # so written in place. Both tests follow symlinks and take the path as given.
+    fd = _std_fd(path)
+    if fd is not None or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path if fd is None else fd, "wb", closefd=fd is None) as handle:
             render(handle.write)
         return
     target = os.path.realpath(path)  # replace a symlink's target, not the link
@@ -484,12 +499,15 @@ def emit_report(report: ScenarioReport, cfg: RunConfig) -> int:
         sys.stdout.flush()  # text already printed goes first
         text = lambda data: sys.stdout.write(str(data, "ascii"))  # an io.StringIO has no buffer
         render(sys.stdout.buffer.write if hasattr(sys.stdout, "buffer") else text)
+        sys.stdout.flush()  # a failed write is reported here, not at exit
     else:
         _write_file(cfg.out, render)
     return 0 if report.contracts_ok else 2
 
 
 def _print_scenario_list() -> None:
+    if sys.stdout is None:  # fd 1 was closed when Python started
+        raise OSError("stdout is closed")
     print("available scenarios:")
     aliases = {target: alias for alias, target in ALIASES.items()}
     for name, scenario in BY_NAME.items():
@@ -497,23 +515,20 @@ def _print_scenario_list() -> None:
         print(f"  {name:10s} {SPECS[scenario].summary}{note}")
     for alias, target in ALIASES.items():
         print(f"  {alias:10s} alias for {target}")
+    sys.stdout.flush()  # a failed write is reported here, not at exit
 
 
 def main(argv=None) -> int:
     try:
         cfg = parse_args(sys.argv[1:] if argv is None else argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if cfg.command == "list":
-        _print_scenario_list()
-        return 0
-    try:
-        report = run_scenario(cfg.scenario, cfg.config)
-    except ValueError as exc:  # DegenerateConfigError
+        report = None if cfg.command == "list" else run_scenario(cfg.scenario, cfg.config)
+    except (UsageError, ValueError) as exc:  # ValueError: DegenerateConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
+        if report is None:
+            _print_scenario_list()
+            return 0
         return emit_report(report, cfg)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -521,4 +536,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    if code == 1 and sys.stdout is not None:
+        # a failed write leaves its bytes in stdout's buffer; flushed again at
+        # exit, they would fail again, and exit 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import PROB_FLOOR
-from .qmath import ATOL, IDENTITY_2, MEAN_IMAG_TOL, PAULI, ConsistencyError
-from .states import NORM_ATOL
+from .qmath import IDENTITY_2, MEAN_IMAG_TOL, PAULI, ConsistencyError
 
 # Trials per batch. The suite's working memory is one batch (about 18 MB
 # traced at this size), whatever the trial count.
@@ -189,33 +188,6 @@ def _expect(operator: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return value.real
 
 
-def _require(ok: np.ndarray, what: str) -> None:
-    """ValueError naming the first trial whose entries of ok are not all true."""
-    per_trial = ok.reshape(-1, ok.shape[-1]).all(axis=0)
-    if not per_trial.all():
-        raise ValueError(f"{what} (trial {int(np.argmin(per_trial))} of the batch)")
-
-
-def _max_dev(m: np.ndarray, target) -> np.ndarray:
-    return np.abs(m - target).max(axis=(0, 1))
-
-
-def _check_inputs(weights, psi, basis, q, unitaries: dict) -> None:
-    """The per-trial constructors' checks, once per batch, on trial-last arrays."""
-    _require(np.abs(np.sqrt((psi.real**2 + psi.imag**2).sum(axis=0)) - 1.0) <= NORM_ATOL,
-             "branch vectors must be normalized")
-    _require((weights >= 0.0) & (weights <= 1.0) & (np.abs(weights.sum(axis=0) - 1.0) <= NORM_ATOL),
-             "branch weights must lie in [0, 1] and sum to 1")
-    for name, m in unitaries.items():
-        _require(_max_dev(_mul(_adjoint(m), m), EYE) <= ATOL, f"{name} is not unitary within tolerance")
-    ps = np.concatenate([basis, q[:, :, None]], axis=2)
-    _require(_max_dev(ps, _adjoint(ps)) <= ATOL, "basis and proposition must be hermitian")
-    _require(_max_dev(_mul(ps, ps), ps) <= ATOL, "basis and proposition must be idempotent")
-    _require(_max_dev(_mul(basis[:, :, 0], basis[:, :, 1]), 0.0) <= ATOL,
-             "basis projectors must be orthogonal")
-    _require(_max_dev(basis.sum(axis=2), EYE) <= ATOL, "basis projectors must sum to the identity")
-
-
 def _collapse(weights, psi, basis, rho):
     """Every branch collapsed onto each remote outcome I x P_k, as measure_all
     does: the outcome probabilities (k, n), 0 for an outcome that does not
@@ -233,12 +205,12 @@ def _collapse(weights, psi, basis, rho):
 
 
 def trial_probabilities(batch: TrialBatch) -> TrialProbabilities:
-    """Every route of every trial in the batch; see TrialProbabilities."""
+    """Every route of every trial in the batch; see TrialProbabilities. The
+    batch is taken as draw_trials draws it and is not validated."""
     weights = _trials_last(batch.weights, 1)  # (b, n)
     psi = _trials_last(batch.vectors, 2, 1)  # (4, b, n): branch vectors as columns
     basis = _trials_last(batch.basis, 2, 3, 1)  # (2, 2, k, n)
     q, u, v, v_alt = (_trials_last(m, 1, 2) for m in (batch.proposition, batch.u, batch.v, batch.v_alt))
-    _check_inputs(weights, psi, basis, q, {"u": u, "v": v, "v_alt": v_alt})
     rho = _density(weights, psi)
     rho_sys = rho.reshape(2, 2, 2, 2, -1).trace(axis1=1, axis2=3)
     q_composite = _kron(q, EYE)

@@ -259,34 +259,8 @@ class TestBatchedKernel:
         assert np.all(batch.weights[padding] == 0.0)
         assert np.all(batch.weights[~padding] > 0.0)
 
-    @pytest.mark.parametrize(
-        "field, scale, message",
-        [
-            ("vectors", 1.1, "normalized"),
-            ("weights", 0.5, "sum to 1"),
-            ("u", 0.5, "u is not unitary"),
-            ("v", 0.5, "v is not unitary"),
-            ("v_alt", 0.5, "v_alt is not unitary"),
-            ("basis", 0.5, "idempotent"),
-            ("proposition", 1j, "hermitian"),
-        ],
-    )
-    def test_rejects_a_corrupted_trial_by_index(self, field, scale, message):
-        batch = draw_trials(np.random.default_rng(74), 5)
-        bad = getattr(batch, field).copy()
-        bad[3] = bad[3] * scale
-        with pytest.raises(ValueError, match=f"{message}.*trial 3 "):
-            trial_probabilities(replace(batch, **{field: bad}))
-
-    def test_rejects_an_incomplete_basis(self):
-        batch = draw_trials(np.random.default_rng(75), 5)
-        basis = batch.basis.copy()
-        basis[2, 1] = 0.0
-        with pytest.raises(ValueError, match="sum to the identity.*trial 2 "):
-            trial_probabilities(replace(batch, basis=basis))
-
     def test_imaginary_expectation_raises(self):
-        """A complex 'weight' passes the sum check yet makes Tr(Q rho) complex."""
+        """Complex 'weights' whose sum is still 1 make Tr(Q rho) complex."""
         batch = draw_trials(np.random.default_rng(76), 5)
         weights = batch.weights.astype(complex)
         weights[0, 0] += 1e-3j

@@ -491,6 +491,60 @@ def test_out_may_name_stdout_on_a_pipe(stdout, tmp_path):
     assert out == path.read_bytes()
 
 
+@pytest.mark.parametrize("fd", [1, 2])
+def test_out_naming_an_appended_log_appends(fd, tmp_path):
+    """`--out /dev/stdout >> log` writes through fd 1, as a run without --out
+    would, so the log keeps what it held; replacing the file behind fd 1
+    would drop it. Likewise /dev/stderr and `2>> log`."""
+    argv = ["run", "sec5", "--t-max", "1", "--dt", "0.5"]
+    path = tmp_path / "out.csv"
+    assert spinpair(*argv, "--out", str(path)).wait(timeout=60) == 0
+    log = tmp_path / "log"
+    log.write_bytes(b"old\n")
+    with open(log, "ab") as appended:
+        streams = {"stdout": appended} if fd == 1 else {"stderr": appended}
+        assert spinpair(*argv, "--out", ["/dev/stdout", "/dev/stderr"][fd - 1], **streams).wait(timeout=60) == 0
+    assert log.read_bytes() == b"old\n" + path.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["log", "out.csv"]
+
+
+def test_an_empty_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    """An empty --out would name the working directory, and the run would end
+    trying to replace it with a temporary file written into its parent."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with mock.patch.object(cli, "run_scenario") as run:
+        assert main(["run", "sec5", "--t-max", "1", "--dt", "0.5", "--out", ""]) == 1
+    run.assert_not_called()
+    assert capsys.readouterr().err == "error: --out must name a file\n"
+    assert os.listdir(tmp_path) == ["work"]
+    assert os.listdir(work) == []
+
+
+def test_list_to_a_closed_stdout_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["list"]) == 1
+    assert capsys.readouterr().err == "error: stdout is closed\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["list"], ["run", "sec5", "--t-max", "1", "--dt", "0.5"]], ids=" ".join)
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_full_stdout_is_one_error_line(argv, buffered):
+    """`> /dev/full`: a write to stdout fails. Buffered, as a file stdout is by
+    default, a short document fails only at the flush; the bytes it leaves in
+    the buffer must not fail again when Python flushes stdout at exit."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "wb") as full:
+        child = subprocess.run(
+            [sys.executable, *([] if buffered else ["-u"]), "-m", "spinpair", *argv],
+            env=env, stdout=full, stderr=subprocess.PIPE, timeout=60,
+        )
+    assert (child.returncode, child.stderr) == (1, b"error: [Errno 28] No space left on device\n")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_plain_stdout_on_a_pipe_gets_the_bytes_of_out(fmt, tmp_path):
     """Without --out the report goes to stdout's binary buffer. A 1,001-point

@@ -5,15 +5,16 @@ records each line it executes in the package, then runs the command line
 at small sizes: every command, every scenario in both formats at each
 precision path, both sec8 bases, grids long enough for the numpy formatter,
 epsilons small enough for its rare cells, a grid too long for the report to
-keep its rows, output to a file, to stdout, to a closed stdout, to a
-device, over a stale temporary file and past a file-size limit, `python -m
-spinpair`, and every refusal. Each command carries the exit code it must
-end in. The executable lines are those of every code object compiled from
-the package's files. A line that no command executes is dead: it goes, or a
-command that reaches it joins the list, unless it is a statement of KEEP,
-named by its def and its text. Those guard against a state, basis, batch
-or document that no accepted command builds, except MeasurementBasis.__len__,
-which perfbench's traced run reads, with the call shapes pinned below.
+keep its rows, output to a file, to stdout, to stderr by name, to a
+closed stdout, to a device, over a stale temporary file and past a
+file-size limit, `python -m spinpair`, and every refusal. Each command
+carries the exit code it must end in. The executable lines are those of
+every code object compiled from the package's files. A line that no
+command executes is dead: it goes, or a command that reaches it joins the
+list, unless it is a statement of KEEP, named by its def and its text.
+Those guard against a state, basis or document that no accepted command
+builds, except MeasurementBasis.__len__, which perfbench's traced run
+reads, with the call shapes pinned below.
 """
 
 import ast
@@ -87,7 +88,7 @@ def test_the_trial_count_perfbench_reads(tmp_path):
 
 
 # Statements that no command executes, kept on purpose: each guards against a
-# state, basis, batch or document that no accepted command can build, and
+# state, basis or document that no accepted command can build, and
 # would catch a bug that builds one. Keyed by qualified def and the first line
 # of the statement.
 KEEP = {
@@ -95,8 +96,6 @@ KEEP = {
         "a placeholder-like string in a report would put an array in the wrong place",
     ("dynamics_linear._expect", "raise ConsistencyError("):
         "an imaginary expectation means an operator or a state is not what it claims to be",
-    ("dynamics_linear._require", 'raise ValueError(f"{what} (trial {int(np.argmin(per_trial))} of the batch)")'):
-        "the suite's drawn trials are checked before any gap is computed from them",
     ("measurement.MeasurementBasis.__post_init__", 'raise ValueError("measurement basis needs at least one projector")'):
         "a basis without projectors has no outcome to measure",
     ("measurement.MeasurementBasis.__len__", "return len(self.projectors)"):
@@ -181,15 +180,20 @@ COMMANDS = [
     # where the bytes go
     (0, ["run", "sec5", *SMALL]),
     (0, ["run", "sec5", *SMALL, "--out", os.devnull]),
+    # the child's stderr, a pipe, written through fd 2
+    (0, ["run", "sec5", *SMALL, "--out", "/dev/stderr"]),
     (0, ["run", "sec5", *SMALL, *OUT], "stale-temp"),
     (1, ["run", "sec5", *SMALL], "closed-stdout"),
+    (1, ["list"], "closed-stdout"),
     (1, ["run", "sec5", "--out", "{tmp}/missing/out"]),
     (1, ["run", "sec8", "--format", "json", "--out", "{tmp}/big"], "file-size-limit"),
     (0, ["list"], "entry"),
+    (1, ["run", "sec9"], "entry"),
     # refusals
     (1, []),
     (1, ["run", "sec9"]),
     (1, ["run", "sec5", "--precision", "5"]),
+    (1, ["run", "sec5", "--out", ""]),
     (1, ["run", "sec3", "--format", "csv"]),
     (1, ["run", "sec5", "--p", "2"]),
     (1, ["run", "sec5", "--p", "nan"]),
@@ -229,12 +233,13 @@ def trace(frame, event, arg):
 
 def run(argv, how=None):
     argv = [arg.format(tmp=tmp) for arg in argv]
-    if how == "entry":  # as `python -m spinpair`
+    if how == "entry":  # as `python -m spinpair`, whose stdout has a descriptor
         sys.argv = ["spinpair", *argv]
-        try:
-            runpy.run_module("spinpair", run_name="__main__")
-        except SystemExit as exc:
-            return exc.code
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            try:
+                runpy.run_module("spinpair", run_name="__main__")
+            except SystemExit as exc:
+                return exc.code
     if how == "stale-temp":  # as a killed run with this pid would leave it
         open(os.path.join(tmp, f".out.{os.getpid()}.tmp"), "x").close()
     if how == "closed-stdout":  # as Python starts with fd 1 closed
