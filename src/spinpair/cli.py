@@ -66,6 +66,7 @@ _HEADS = np.array(
 for _table in (_TENS, _FIRST_BYTES, _HEADS):
     _table.setflags(write=False)
 _SLOT = r'"\\u0000(\d+)\\u0000"'  # an array's placeholder, as json.dumps writes it
+_FD_PATH = r"/(?:dev|proc/self)/fd/(\d+)"  # a path that names descriptor N
 
 
 class UsageError(Exception):
@@ -441,9 +442,23 @@ def _render_json(report: ScenarioReport, precision: int):
     return render
 
 
-def _std_fd(path: str) -> int | None:
-    """1 or 2 if path is the file open on stdout or stderr, as /dev/stdout
-    and /dev/stderr are, else None."""
+def _named_fd(path: str) -> int | None:
+    """N if path is /dev/fd/N or /proc/self/fd/N, as given or as its one
+    symlink reads (/dev/stdout -> /proc/self/fd/1); else 1 or 2 if path is
+    the file open on stdout or stderr; else None. The text decides: the link
+    /proc/self/fd/N resolves to the file behind N, not to N."""
+    try:
+        link = os.readlink(path)
+    except OSError:  # not a symlink, or no such file
+        link = ""
+    named = re.fullmatch(_FD_PATH, path) or re.fullmatch(_FD_PATH, link)
+    if named:
+        fd = int(named[1])
+        try:
+            os.fstat(fd)
+        except (OSError, OverflowError):
+            raise OSError(f"{path}: descriptor {fd} is not open") from None
+        return fd
     for fd in (1, 2):
         try:
             if os.path.samestat(os.stat(path), os.fstat(fd)):
@@ -458,10 +473,10 @@ def _write_file(path: str, render) -> None:
     once the whole document is written: a failed render or write leaves no
     partial file, and a file already there keeps its old bytes until then
     and its permission bits after."""
-    # stdout or stderr: written through the descriptor, so a `>> log` behind it
-    # is appended to, as without --out. /dev/null, a FIFO: nothing to replace,
-    # so written in place. Both tests follow symlinks and take the path as given.
-    fd = _std_fd(path)
+    # a descriptor: written through it, so a `>> log` behind it is appended
+    # to, as without --out. /dev/null, a FIFO: nothing to replace, so written
+    # in place. The file tests follow symlinks and take the path as given.
+    fd = _named_fd(path)
     if fd is not None or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path if fd is None else fd, "wb", closefd=fd is None) as handle:
             render(handle.write)

@@ -10,16 +10,14 @@ against that independent route. The single-outcome routes (outcome
 probability, collapse onto one projector, the joint probability summed over
 a decomposition) are test oracles in tests/oracles.py.
 
-A basis is immutable, so it is validated once, before its first measurement,
-and its embedded projectors I (x) P_k are built once with that validation;
-later measurements in the same basis only collapse.
+A basis is validated when it is built, and its embedded projectors
+I (x) P_k are built with it; a measurement only collapses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,45 +38,30 @@ class ImpossibleOutcomeError(ValueError):
 class MeasurementBasis:
     """Ordered projectors of a projective measurement on one spin.
 
-    Construction only checks shapes; orthogonality, idempotence and
-    completeness are checked by validate_basis so that defective bases can
-    be diagnosed rather than rejected blind.
+    Validated when built: ValueError naming the first projector of a wrong
+    shape, or else every violation validate_basis finds. embedded holds the
+    remote-side projectors I (x) P_k as one read-only (n, 4, 4) stack.
     """
 
     projectors: tuple[np.ndarray, ...]
+    embedded: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.projectors:
-            raise ValueError("measurement basis needs at least one projector")
         frozen = []
         for index, raw in enumerate(self.projectors):
             arr = checked(raw, f"projector {index}", (2, 2)).copy()
             arr.setflags(write=False)
             frozen.append(arr)
+        violations = validate_basis(frozen)
+        if violations:
+            raise ValueError("invalid measurement basis: " + "; ".join(violations))
+        stack = np.stack([np.kron(IDENTITY_2, effect) for effect in frozen])
+        stack.setflags(write=False)
         object.__setattr__(self, "projectors", tuple(frozen))
+        object.__setattr__(self, "embedded", stack)
 
     def __len__(self) -> int:  # perfbench's tracer counts the projectors tried with len()
         return len(self.projectors)
-
-    @cached_property
-    def embedded(self) -> np.ndarray:
-        """The remote-side projectors I (x) P_k as one read-only (n, 4, 4) stack,
-        built when the basis first passes validate_basis; ValueError listing
-        the violations otherwise, and nothing kept."""
-        report = validate_basis(self)
-        if not report.ok:
-            raise ValueError("invalid measurement basis: " + "; ".join(report.violations))
-        stack = np.stack([np.kron(IDENTITY_2, effect) for effect in self.projectors])
-        stack.setflags(write=False)
-        return stack
-
-
-@dataclass(frozen=True)
-class BasisReport:
-    """Outcome of validate_basis: ok, or a list of named violations."""
-
-    ok: bool
-    violations: tuple[str, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,31 +78,30 @@ def basis_from_vectors(*vectors) -> MeasurementBasis:
     return MeasurementBasis(tuple(projector(v) for v in vectors))
 
 
-def validate_basis(basis: MeasurementBasis) -> BasisReport:
-    """Check hermiticity, idempotence, pairwise orthogonality and completeness.
-
-    Each violation names the offending projector (pair) and its magnitude.
+def validate_basis(projectors) -> tuple[str, ...]:
+    """Check hermiticity, idempotence, pairwise orthogonality and completeness
+    of (2, 2) projectors; the violations, each naming the offending projector
+    (pair) and its magnitude, or () for a projective measurement.
     """
     violations: list[str] = []
-    ps = basis.projectors
-    for j, ej in enumerate(ps):
+    for j, ej in enumerate(projectors):
         dev = float(np.max(np.abs(ej - ej.conj().T)))
         if dev > ATOL:
             violations.append(f"projector {j} is not hermitian (deviation {dev:.3e})")
         dev = float(np.max(np.abs(ej @ ej - ej)))
         if dev > ATOL:
             violations.append(f"projector {j} is not idempotent (deviation {dev:.3e})")
-        for k in range(j + 1, len(ps)):
-            dev = float(np.max(np.abs(ej @ ps[k])))
+        for k in range(j + 1, len(projectors)):
+            dev = float(np.max(np.abs(ej @ projectors[k])))
             if dev > ATOL:
                 violations.append(f"projectors {j} and {k} are not orthogonal (deviation {dev:.3e})")
     total = np.zeros((2, 2), dtype=complex)
-    for ej in ps:
+    for ej in projectors:
         total = total + ej
     dev = float(np.max(np.abs(total - IDENTITY_2)))
     if dev > ATOL:
         violations.append(f"projectors do not sum to the identity (deviation {dev:.3e})")
-    return BasisReport(not violations, tuple(violations))
+    return tuple(violations)
 
 
 def _collapse(ensemble: Ensemble, embedded: np.ndarray) -> Ensemble:

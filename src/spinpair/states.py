@@ -83,8 +83,6 @@ class Ensemble:
 
     def __post_init__(self) -> None:
         branches = tuple(self.branches)
-        if not branches:
-            raise ValueError("ensemble needs at least one branch")
         for branch in branches:
             if not isinstance(branch, Branch):
                 raise TypeError(f"ensemble branches must be Branch values, got {type(branch)!r}")
@@ -148,8 +146,6 @@ def _weighted_parts(parts, name: str) -> list[tuple[float, np.ndarray]]:
     out = []
     for weight, vector in parts:
         out.append((float(weight), checked(vector, f"{name} vector", (2,))))
-    if not out:
-        raise ValueError(f"{name} parts must not be empty")
     total = math.fsum(w for w, _ in out)
     if abs(total - 1.0) > NORM_ATOL:
         raise ValueError(f"{name} weights must sum to 1, got {total!r}")

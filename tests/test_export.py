@@ -508,6 +508,35 @@ def test_out_naming_an_appended_log_appends(fd, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["log", "out.csv"]
 
 
+@pytest.mark.parametrize("prefix", ["/dev/fd", "/proc/self/fd"])
+def test_out_naming_any_descriptor_writes_through_it(prefix, tmp_path):
+    """`--out /dev/fd/3 3>> log` writes through fd 3, so the log keeps what
+    it held. /proc/self/fd/3 resolves to the log itself, which a write
+    through a temporary file would replace."""
+    argv = ["run", "sec5", "--t-max", "1", "--dt", "0.5"]
+    path = tmp_path / "out.csv"
+    assert spinpair(*argv, "--out", str(path)).wait(timeout=60) == 0
+    log = tmp_path / "log"
+    log.write_bytes(b"old\n")
+    with open(log, "ab") as appended:
+        out = f"{prefix}/{appended.fileno()}"
+        assert spinpair(*argv, "--out", out, pass_fds=(appended.fileno(),)).wait(timeout=60) == 0
+    assert log.read_bytes() == b"old\n" + path.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["log", "out.csv"]
+
+
+def test_out_naming_a_closed_descriptor_is_one_error_line(tmp_path):
+    """`--out /dev/stdout >&-`: the error names the descriptor, not a
+    temporary file next to it, and no file is left."""
+    argv = [sys.executable, "-m", "spinpair", "run", "sec5", "--t-max", "1", "--dt", "0.5", "--out", "/dev/stdout"]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    child = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", *argv], cwd=tmp_path, env=env, stderr=subprocess.PIPE, timeout=60
+    )
+    assert (child.returncode, child.stderr) == (1, b"error: /dev/stdout: descriptor 1 is not open\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_an_empty_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
     """An empty --out would name the working directory, and the run would end
     trying to replace it with a temporary file written into its parent."""

@@ -60,26 +60,27 @@ def luders_density(ensemble, effect):
 
 class TestValidateBasis:
     def test_marker_basis_ok(self):
-        report = validate_basis(marker_basis())
-        assert report.ok
-        assert report.violations == ()
+        assert validate_basis(marker_basis().projectors) == ()
 
     def test_duplicate_projector_fails_completeness_and_orthogonality(self):
         p = projector(UP)
-        report = validate_basis(MeasurementBasis((p, p)))
-        assert not report.ok
-        assert any("sum to the identity" in v for v in report.violations)
-        assert any("orthogonal" in v for v in report.violations)
+        violations = validate_basis((p, p))
+        assert any("sum to the identity" in v for v in violations)
+        assert any("orthogonal" in v for v in violations)
 
     def test_non_idempotent_projector_reported(self):
-        report = validate_basis(MeasurementBasis((0.5 * IDENTITY_2, 0.5 * IDENTITY_2)))
-        assert not report.ok
-        assert any("idempotent" in v for v in report.violations)
+        violations = validate_basis((0.5 * IDENTITY_2, 0.5 * IDENTITY_2))
+        assert any("idempotent" in v for v in violations)
 
     def test_random_complement_pairs_ok(self):
         rng = np.random.default_rng(30)
         for _ in range(20):
-            assert validate_basis(random_basis(rng)).ok
+            assert validate_basis(random_basis(rng).projectors) == ()
+
+    def test_no_projectors_is_rejected(self):
+        """No projector sums to 0, not the identity."""
+        with pytest.raises(ValueError):
+            MeasurementBasis(())
 
 
 class TestOutcomeProbability:
@@ -211,22 +212,22 @@ class TestMeasureAll:
             assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-10)
 
     def test_invalid_basis_rejected(self):
+        """Refused when built, with every violation named."""
         p = projector(UP)
-        basis = MeasurementBasis((p, p))
-        for _ in range(2):  # at every measurement, not only the first
-            with pytest.raises(ValueError, match="invalid measurement basis"):
-                measure_all(singlet_prep(), basis)
+        with pytest.raises(ValueError, match="invalid measurement basis") as refused:
+            MeasurementBasis((p, p))
+        assert "orthogonal" in str(refused.value) and "sum to the identity" in str(refused.value)
 
     def test_a_basis_is_validated_once(self):
-        basis = marker_basis()
         with mock.patch("spinpair.measurement.validate_basis", wraps=validate_basis) as spy:
+            basis = marker_basis()
+            assert spy.call_count == 1
             first = measure_all(singlet_prep(), basis)
             second = measure_all(singlet_prep(), basis)
         assert spy.call_count == 1
         assert [o.probability for o in first] == [o.probability for o in second]
-        embedded = basis.embedded
-        assert embedded is basis.embedded and not embedded.flags.writeable
-        for effect, lifted in zip(basis.projectors, embedded):
+        assert not basis.embedded.flags.writeable
+        for effect, lifted in zip(basis.projectors, basis.embedded):
             np.testing.assert_array_equal(lifted, np.kron(IDENTITY_2, effect))
 
     def test_probabilities_match_the_single_outcome_oracle(self):

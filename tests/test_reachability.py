@@ -5,16 +5,16 @@ records each line it executes in the package, then runs the command line
 at small sizes: every command, every scenario in both formats at each
 precision path, both sec8 bases, grids long enough for the numpy formatter,
 epsilons small enough for its rare cells, a grid too long for the report to
-keep its rows, output to a file, to stdout, to stderr by name, to a
-closed stdout, to a device, over a stale temporary file and past a
-file-size limit, `python -m spinpair`, and every refusal. Each command
-carries the exit code it must end in. The executable lines are those of
-every code object compiled from the package's files. A line that no
-command executes is dead: it goes, or a command that reaches it joins the
-list, unless it is a statement of KEEP, named by its def and its text.
-Those guard against a state, basis or document that no accepted command
-builds, except MeasurementBasis.__len__, which perfbench's traced run
-reads, with the call shapes pinned below.
+keep its rows, output to a file, to stdout, to stderr by name and as the
+file open on it, to a closed stdout and a closed descriptor, to a device,
+over a stale temporary file and past a file-size limit, `python -m
+spinpair`, and every refusal. Each command carries the exit code it must
+end in. The executable lines are those of every code object compiled from
+the package's files. A line that no command executes is dead: it goes, or
+a command that reaches it joins the list, unless it is a statement of
+KEEP, named by its def and its text. Those guard against a state, basis or
+document that no accepted command builds, except MeasurementBasis.__len__,
+which perfbench's traced run reads, with the call shapes pinned below.
 """
 
 import ast
@@ -96,12 +96,10 @@ KEEP = {
         "a placeholder-like string in a report would put an array in the wrong place",
     ("dynamics_linear._expect", "raise ConsistencyError("):
         "an imaginary expectation means an operator or a state is not what it claims to be",
-    ("measurement.MeasurementBasis.__post_init__", 'raise ValueError("measurement basis needs at least one projector")'):
-        "a basis without projectors has no outcome to measure",
     ("measurement.MeasurementBasis.__len__", "return len(self.projectors)"):
         "perfbench's tracer counts the projectors tried with len(basis)",
-    ("measurement.MeasurementBasis.embedded", 'raise ValueError("invalid measurement basis: " + "; ".join(report.violations))'):
-        "a basis is validated once, at its first measurement",
+    ("measurement.MeasurementBasis.__post_init__", 'raise ValueError("invalid measurement basis: " + "; ".join(violations))'):
+        "a basis is validated when it is built",
     ("measurement.validate_basis", 'violations.append(f"projector {j} is not hermitian (deviation {dev:.3e})")'):
         "names a defect of a basis that is not projective",
     ("measurement.validate_basis", 'violations.append(f"projector {j} is not idempotent (deviation {dev:.3e})")'):
@@ -126,8 +124,6 @@ KEEP = {
         "a computed weight outside [0, 1] is a bug upstream",
     ("states.Branch.__post_init__", 'raise ValueError(f"branch vector must be normalized, got norm {norm!r}")'):
         "a computed branch off the unit sphere is a bug upstream",
-    ("states.Ensemble.__post_init__", 'raise ValueError("ensemble needs at least one branch")'):
-        "a collapse that kept no branch is a bug upstream",
     ("states.Ensemble.__post_init__", 'raise TypeError(f"ensemble branches must be Branch values, got {type(branch)!r}")'):
         "only a Branch carries a checked weight and vector",
     ("states.Ensemble.__post_init__", 'raise ValueError(f"branch weights must sum to 1, got {total!r}")'):
@@ -138,8 +134,6 @@ KEEP = {
         "a mean value outside the ball is no state",
     ("states.branch_bloch", "raise NotProductError("):
         "an entangled branch has no system factor to evolve on its own",
-    ("states._weighted_parts", 'raise ValueError(f"{name} parts must not be empty")'):
-        "a product ensemble needs a part on each side",
     ("states._weighted_parts", 'raise ValueError(f"{name} weights must sum to 1, got {total!r}")'):
         "a product ensemble's weights on each side sum to 1",
     ("states.correlated_ensemble", 'raise ValueError(f"p must lie in [0, 1], got {p!r}")'):
@@ -182,6 +176,8 @@ COMMANDS = [
     (0, ["run", "sec5", *SMALL, "--out", os.devnull]),
     # the child's stderr, a pipe, written through fd 2
     (0, ["run", "sec5", *SMALL, "--out", "/dev/stderr"]),
+    (0, ["run", "sec5", *SMALL, "--out", "{tmp}/log"], "stderr-is-out"),
+    (1, ["run", "sec5", *SMALL, "--out", "/dev/fd/900"], "closed-fd"),
     (0, ["run", "sec5", *SMALL, *OUT], "stale-temp"),
     (1, ["run", "sec5", *SMALL], "closed-stdout"),
     (1, ["list"], "closed-stdout"),
@@ -242,6 +238,22 @@ def run(argv, how=None):
                 return exc.code
     if how == "stale-temp":  # as a killed run with this pid would leave it
         open(os.path.join(tmp, f".out.{os.getpid()}.tmp"), "x").close()
+    if how == "stderr-is-out":  # `--out FILE 2>> FILE`: FILE named plainly
+        saved, log = os.dup(2), os.open(argv[-1], os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        os.dup2(log, 2)
+        try:
+            return cli.main(argv)
+        finally:
+            os.dup2(saved, 2)
+            os.close(saved)
+            os.close(log)
+            os.unlink(argv[-1])
+    if how == "closed-fd":  # argv ends in /dev/fd/N, and N must not be open
+        try:
+            os.fstat(int(argv[-1].rpartition("/")[2]))
+            return "an open descriptor"
+        except OSError:
+            pass
     if how == "closed-stdout":  # as Python starts with fd 1 closed
         with contextlib.redirect_stdout(None):
             return cli.main(argv)

@@ -234,6 +234,12 @@ class TestProductEnsemble:
         with pytest.raises(ValueError):
             product_ensemble([(0.5, UP)], [(1.0, UP)])
 
+    @pytest.mark.parametrize("system, remote", [([], [(1.0, UP)]), ([(1.0, UP)], [])], ids=["system", "remote"])
+    def test_an_empty_side_is_rejected(self, system, remote):
+        """An empty side has weights that sum to 0, not 1."""
+        with pytest.raises(ValueError):
+            product_ensemble(system, remote)
+
 
 class TestCorrelatedEnsemble:
     def test_matches_weighted_projector_sum(self):
