@@ -7,13 +7,15 @@ invocations produce byte-identical files.
 A report holds one time grid, `report.times`, and every trajectory as a
 closed form on it. JSON (schema version 2) writes the grid once, as the
 top-level `times` of a run with arms, and each trajectory as
-`{"points": [...]}`, one `[s1, s2, s3]` row per line. One row emitter writes
-those rows, the JSON grid and the CSV's `t,arm,s1,s2,s3` rows, a chunk of
-ROWS rows at a time: each chunk's points are those the report's checks
-kept (`ScenarioReport.rows`), or else evaluated as the chunk is written.
-From CROSSOVER rows on, a chunk is one uint8 matrix of numpy-formatted
-float cells and literal separators, read off as its nonzero bytes; the
-values numpy cannot round with certainty, shorter chunks and precisions
+`{"points": [...]}`, one `[s1, s2, s3]` row per line. json.dumps writes the
+rest, and through its `default` hook a placeholder where each array goes.
+One row emitter writes those rows, the JSON grid and the CSV's
+`t,arm,s1,s2,s3` rows, a chunk of ROWS rows at a time: each chunk's points
+are those the report's checks kept (`ScenarioReport.rows`), or else
+evaluated as the chunk is written. From CROSSOVER rows on, a chunk is one
+uint8 matrix of numpy-formatted float cells and literal separators, read
+off as its nonzero bytes; the values numpy cannot round with certainty or
+whose exponent could need three digits, shorter chunks and precisions
 above 13 take the per-float route. A chunk whose every cell is one row, as
 the rows of a constant closed form are, is that row's bytes repeated, with
 no matrix. The writers pass bytes to `write`: a file opened in binary mode,
@@ -65,7 +67,7 @@ _HEADS = np.array(
 )
 for _table in (_TENS, _FIRST_BYTES, _HEADS):
     _table.setflags(write=False)
-_SLOT = r'"\\u0000(\d+)\\u0000"'  # an array's placeholder, as json.dumps writes it
+_SLOT = '"\\u0000"'  # an array's placeholder, "\0", as json.dumps writes it
 _FD_PATH = r"/(?:dev|proc/self)/fd/(\d+)"  # a path that names descriptor N
 
 
@@ -97,13 +99,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _precision(text: str) -> int:
-    value = int(text)
-    if not 6 <= value <= 17:
-        raise argparse.ArgumentTypeError(f"precision must lie in [6, 17], got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spinpair",
@@ -116,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     flags.add_argument("--trials", type=int, help="trials for the randomized suite (default 1000)")
     flags.add_argument("--out", help="output file (default: stdout)")
     flags.add_argument("--format", choices=["csv", "json"], help="default csv; sec3 is json only")
-    flags.add_argument("--precision", type=_precision, default=12)
+    flags.add_argument("--precision", type=int, default=12)
 
     run_p = sub.add_parser("run", parents=[flags], help="run one scenario and export its report")
     run_p.add_argument("scenario", help="scenario name; see 'spinpair list'")
@@ -159,7 +154,9 @@ def parse_args(argv) -> RunConfig:
         raise UsageError("a command is required: run, verify-linear, or list")
     if ns.command == "list":
         return RunConfig("list", None, ScenarioConfig(), None, "csv", 12)
-    if ns.out == "":  # would name the working directory, found only after the run
+    if not 6 <= ns.precision <= 17:
+        raise UsageError(f"precision must lie in [6, 17], got {ns.precision}")
+    if ns.out is not None and os.path.basename(ns.out) in ("", ".", ".."):  # a directory, found only after the run
         raise UsageError("--out must name a file")
     # verify-linear is `run linear`: the same suite, flags and defaults
     requested = "linear" if ns.command == "verify-linear" else ns.scenario
@@ -239,10 +236,11 @@ def _float_cells(column, precision: int, as_json: bool = False) -> np.ndarray:
     integer part if that is longer, are masked to 0. A cell is the sign and
     any "0." and zeros, right-aligned in six bytes, then the digits with a
     slot for the point after each digit that needs one, then "e", the
-    exponent's sign and its digits; a slot a value does not use stays 0.
+    exponent's sign and its two digits; a slot a value does not use stays 0.
 
-    The per-float route writes the cells of zeros, values below 1e-296
-    (subnormals among them), non-finite values, scaled fractions within
+    The per-float route writes the cells of zeros, values below 1e-98
+    (subnormals among them) or from 1e99 on, whose exponents could need
+    three digits, non-finite values, scaled fractions within
     2**-49 * 10**p (at least 4 ulp) of one half, digits m outside
     [10**(p - 1), 10**p) (an off-by-one e, or a carry into the next decade),
     and in JSON integral and "e+XX" texts, which json spells otherwise."""
@@ -251,7 +249,7 @@ def _float_cells(column, precision: int, as_json: bool = False) -> np.ndarray:
         return _text_cells(_float_texts(column[:1], precision, as_json))
     p = precision
     size = np.abs(column)
-    ok = (size >= 1e-296) & (size <= sys.float_info.max)  # NaN fails both
+    ok = (size >= 1e-98) & (size < 1e99)  # two exponent digits; NaN fails both
     size = np.where(ok, size, 1.0)
     e = np.floor(np.log10(size)).astype(np.intp)
     scale = (p - 1 + _TENS_AT) - e  # 10**(p - 1 - e) as a factor and a divisor, one of them 1
@@ -285,22 +283,19 @@ def _float_cells(column, precision: int, as_json: bool = False) -> np.ndarray:
     last = int(point.max())  # point slots after digits 0..last
     expo = ~fixed
     has_expo = bool(expo.any())
-    wide = has_expo and bool((np.abs(e[expo]) >= 100).any())  # three exponent digits
-    cells = np.zeros((n, 6 + p + last + 1 + has_expo * (4 + wide)), np.uint8)
+    cells = np.zeros((n, 6 + p + last + 1 + has_expo * 4), np.uint8)
     lead = np.where(fixed & (e < 0), 1 - e, 0)  # "0." and -e - 1 zeros
     cells[:, :6] = _HEADS.take(6 * np.signbit(column) + lead).view(np.uint8).reshape(n, 8)[:, 2:]
     cells[:, 6 : 6 + 2 * last + 2 : 2] = digits[:, : last + 1]
     cells[:, 7 : 7 + 2 * last + 2 : 2] = np.where(np.arange(last + 1) == point[:, None], 46, 0)
     at = 6 + p + last + 1
     cells[:, 6 + 2 * last + 2 : at] = digits[:, last + 1 :]
-    if has_expo:  # "e", the sign, and two or three digits, in the rows in exponent form
+    if has_expo:  # "e", the sign, and two digits, in the rows in exponent form
         rows = np.flatnonzero(expo)
         power = np.abs(e[rows])
         cells[rows, at] = 101
         cells[rows, at + 1] = np.where(e[rows] < 0, 45, 43)
-        if wide:
-            cells[rows, at + 2] = np.where(power >= 100, 48 + power // 100, 0)
-        cells[rows, at + 2 + wide :] = _PAIRS.take(power % 100).view(np.uint8).reshape(-1, 2)
+        cells[rows, at + 2 :] = _PAIRS.take(power).view(np.uint8).reshape(-1, 2)
     rest = np.flatnonzero(~ok)
     if rest.size:
         texts = _text_cells(_float_texts(column[rest], p, as_json))
@@ -355,32 +350,14 @@ def _write_rows(write, n: int, columns, literals, precision: int, as_json: bool,
         write(rows.tobytes().translate(None, b"\0"))  # as fast as a mask per chunk, faster end to end
 
 
-def _write_array(write, array, precision: int, pad: str, rows) -> None:
-    """A 1-d grid, or a trajectory's rows each on one line, as
-    json.dumps(indent=2) writes a list at indent `pad`, in chunks of ROWS
-    rows; rows(trajectory, start, stop) gives a chunk's rows."""
-    sep = f",\n{pad}  "
-    write(f"[\n{pad}  ".encode("ascii"))
-    if isinstance(array, Trajectory):
-        columns = lambda start, stop: list(rows(array, start, stop).T)
-        _write_rows(write, len(array.times), columns, ["[", ", ", ", ", "]"], precision, True, sep)
-    else:
-        _write_rows(write, len(array), lambda start, stop: [array[start:stop]], ["", ""], precision, True, sep)
-    write(f"\n{pad}]".encode("ascii"))
-
-
-def _jsonable(value, precision: int, arrays: list):
-    """Report value -> json-ready value; the time grid becomes a placeholder
-    string naming its index in `arrays`, and a trajectory the object
-    `{"points": placeholder}`."""
-    if isinstance(value, (np.ndarray, Trajectory)):
-        arrays.append(value)
-        slot = f"\0{len(arrays) - 1}\0"
-        return {"points": slot} if isinstance(value, Trajectory) else slot
+def _jsonable(value, precision: int):
+    """Report value -> json-ready value: floats rounded to `precision`
+    digits, enums as their values, keys as strings. Arrays and trajectories
+    pass as they are."""
     if isinstance(value, dict):
-        return {str(k): _jsonable(v, precision, arrays) for k, v in value.items()}
+        return {str(k): _jsonable(v, precision) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v, precision, arrays) for v in value]
+        return [_jsonable(v, precision) for v in value]
     if isinstance(value, float):
         return float(format(float(value), f".{precision}g"))
     if isinstance(value, enum.Enum):
@@ -420,23 +397,32 @@ def _render_json(report: ScenarioReport, precision: int):
     }
     if report.times is not None:  # only a run with arms has a grid; sec3 writes no empty key
         doc["times"] = report.times
-    arrays = []
-    skeleton = json.dumps(_jsonable(doc, precision, arrays), indent=2, sort_keys=True)
-    # [text, index, text, index, ..., text]; a slot takes the indent of its line
-    pieces = re.split(_SLOT, skeleton + "\n")
-    if sorted(map(int, pieces[1::2])) != list(range(len(arrays))):
-        raise RuntimeError(f"{len(pieces) // 2} slots for {len(arrays)} arrays")
+    arrays = []  # the grid and the trajectories, in the order json.dumps writes them
 
-    texts = [piece.encode("ascii") for piece in pieces[::2]]  # json.dumps escapes all else
-    slots = []  # (array, the indent of the slot's line)
-    for k in range(1, len(pieces), 2):
-        line = pieces[k - 1].rpartition("\n")[2]
-        slots.append((arrays[int(pieces[k])], line[: len(line) - len(line.lstrip(" "))]))
+    def slot(value):  # json.dumps calls this for each value it cannot encode
+        arrays.append(value if isinstance(value, (np.ndarray, Trajectory)) else json.JSONEncoder().default(value))
+        return {"points": "\0"} if isinstance(value, Trajectory) else "\0"
+
+    # the encoder runs in Python when indent is set, so sort_keys holds and slot sees the write order
+    skeleton = json.dumps(_jsonable(doc, precision), indent=2, sort_keys=True, default=slot)
+    placed, arrays = arrays, None  # json's encoder leaves a cycle that holds slot till the next gc, not the arrays
+    pieces = (skeleton + "\n").split(_SLOT)  # text, then the text after each slot
+    if len(pieces) - 1 != len(placed):
+        raise RuntimeError(f"{len(pieces) - 1} slots for {len(placed)} arrays")
+    texts = [piece.encode("ascii") for piece in pieces]  # json.dumps escapes all else
+    pads = [re.match(" *", piece.rpartition("\n")[2])[0] for piece in pieces[:-1]]  # the indent of a slot's line
 
     def render(write) -> None:
         write(texts[0])
-        for (array, pad), text in zip(slots, texts[1:]):
-            _write_array(write, array, precision, pad, report.rows)
+        for array, pad, text in zip(placed, pads, texts[1:]):
+            sep = f",\n{pad}  "
+            write(f"[\n{pad}  ".encode("ascii"))
+            if isinstance(array, Trajectory):  # each lambda is called only within its own iteration
+                columns = lambda start, stop: list(report.rows(array, start, stop).T)
+                _write_rows(write, len(array.times), columns, ["[", ", ", ", ", "]"], precision, True, sep)
+            else:
+                _write_rows(write, len(array), lambda start, stop: [array[start:stop]], ["", ""], precision, True, sep)
+            write(f"\n{pad}]".encode("ascii"))
             write(text)
 
     return render
@@ -492,6 +478,8 @@ def _write_file(path: str, render) -> None:
     except FileExistsError:  # left by a killed run that had this pid
         os.unlink(temp)  # removes a symlink itself, never its target
         handle = open(temp, "xb")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with handle:
             try:

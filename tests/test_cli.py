@@ -68,6 +68,12 @@ class TestParseArgs:
             parse_args(["run", "sec5", "--precision", "18"])
         assert parse_args(["run", "sec5", "--precision", "17"]).precision == 17
 
+    def test_precision_refusals_name_the_input(self):
+        with pytest.raises(UsageError, match=r"invalid int value: '6\.5'"):
+            parse_args(["run", "sec5", "--precision", "6.5"])
+        with pytest.raises(UsageError, match=r"^precision must lie in \[6, 17\], got 18$"):
+            parse_args(["run", "sec5", "--precision", "18"])
+
     def test_verify_linear_defaults_to_json(self):
         cfg = parse_args(["verify-linear", "--trials", "5"])
         assert cfg.command == "verify-linear"

@@ -150,6 +150,26 @@ def test_long_columns_match_the_per_float_route(values, negate, seed, precision,
     assert text.split("\n") == expected
 
 
+# Values at and beside the powers of ten where the exponent takes or loses a
+# third digit, and where the numpy formatter's two-digit exponents end.
+EXPONENT_EDGES = [
+    sign * neighbour(10.0**k, side) for k in (-100, -99, -98, 98, 99, 100) for side in (-1, 0, 1) for sign in (1, -1)
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("precision", range(6, 14))
+def test_exponent_edges_match_the_per_float_route(precision, as_json):
+    """Below 1e-98 and from 1e99 on the per-float route writes the cells, so
+    the numpy formatter writes two exponent digits only; the values around
+    both bounds come out as the per-float route writes them, in a column of
+    CROSSOVER values that numpy formats."""
+    column = np.random.default_rng(precision).uniform(-1.0, 1.0, cli.CROSSOVER)
+    column[: len(EXPONENT_EDGES)] = EXPONENT_EDGES
+    cells = cli._float_cells(column, precision, as_json)
+    assert [bytes(row).replace(b"\0", b"").decode("ascii") for row in cells] == cli._float_texts(column, precision, as_json)
+
+
 def nonconstant_chunks(report):
     """Every chunk of ROWS values of the report's grid and of each column of
     its trajectories, but for columns of one bit pattern."""
@@ -316,14 +336,21 @@ def test_nested_trajectories_match_the_per_float_route(precision):
 
 
 def test_a_stray_placeholder_refuses_to_write(tmp_path):
-    """A string that reads as a trajectory slot leaves the slot count wrong:
+    """A string that reads as an array's slot leaves the slot count wrong:
     the render fails and no file is written."""
     path = tmp_path / "out.json"
-    report = nested_report({"note": "\x000\x00"})
+    report = nested_report({"note": "\x00"})
     cfg = RunConfig("run", ScenarioId.ENTANGLEMENT, ScenarioConfig(), str(path), "json", 12)
     with pytest.raises(RuntimeError, match="slots"):
         emit_report(report, cfg)
     assert not path.exists()
+
+
+def test_a_value_json_cannot_encode_is_a_type_error():
+    """Only the grid and trajectories take a slot; any other value json.dumps
+    cannot encode fails as json.dumps fails on it, not written as a grid."""
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        cli._render_json(nested_report({"note": {1.0, 2.0}}), 12)
 
 
 def streamed_peak(report, fmt="json"):
@@ -382,7 +409,7 @@ def test_a_failed_write_leaves_no_file(existing, tmp_path, monkeypatch, capsys):
     path = tmp_path / "out.json"
     if existing is not None:
         path.write_bytes(existing)
-    monkeypatch.setattr(cli, "_write_array", full_disk)
+    monkeypatch.setattr(cli, "_write_rows", full_disk)
     assert main(["run", "sec8", "--t-max", "1", "--dt", "0.1", "--format", "json", "--out", str(path)]) == 1
     assert "no space left on device" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ([] if existing is None else ["out.json"])
@@ -549,6 +576,27 @@ def test_an_empty_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: --out must name a file\n"
     assert os.listdir(tmp_path) == ["work"]
     assert os.listdir(work) == []
+
+
+@pytest.mark.parametrize("out", ["res.csv/", "res.csv/.", "new/", "new/."])
+def test_an_out_naming_a_directory_is_refused(out, tmp_path, monkeypatch, capsys):
+    """A path that ends in "/" or "/." names a directory, as open() reads it;
+    the run must not replace the file res.csv with the report, nor create a
+    file named new."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "res.csv").write_bytes(b"keep\n")
+    assert main(["run", "sec5", "--t-max", "1", "--dt", "0.5", "--out", out]) == 1
+    assert capsys.readouterr().err == "error: --out must name a file\n"
+    assert os.listdir(tmp_path) == ["res.csv"]
+    assert (tmp_path / "res.csv").read_bytes() == b"keep\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_a_temporary_file_that_cannot_be_made_names_out(capsys):
+    """The temporary file is an implementation detail: an error creating it
+    names the file asked for."""
+    assert main(["run", "sec5", "--t-max", "1", "--dt", "0.5", "--out", "/proc/out"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: '/proc/out'\n"
 
 
 def test_list_to_a_closed_stdout_exits_one(monkeypatch, capsys):

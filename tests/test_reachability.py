@@ -92,7 +92,7 @@ def test_the_trial_count_perfbench_reads(tmp_path):
 # would catch a bug that builds one. Keyed by qualified def and the first line
 # of the statement.
 KEEP = {
-    ("cli._render_json", 'raise RuntimeError(f"{len(pieces) // 2} slots for {len(arrays)} arrays")'):
+    ("cli._render_json", 'raise RuntimeError(f"{len(pieces) - 1} slots for {len(placed)} arrays")'):
         "a placeholder-like string in a report would put an array in the wrong place",
     ("dynamics_linear._expect", "raise ConsistencyError("):
         "an imaginary expectation means an operator or a state is not what it claims to be",
@@ -162,10 +162,10 @@ COMMANDS = [
     *((0, ["run", "sec8", *LONG, "--format", fmt, *OUT]) for fmt in ("csv", "json")),
     # a grid whose rows exceed KEEP_BYTES: the report keeps none, and the export evaluates them again
     (0, ["run", "sec6", "--t-max", "100", "--out", os.devnull]),
-    # values the numpy formatter leaves to the per-float route (negative
-    # subnormals, whose texts are wider than its cells, and normals below
-    # 1e-307, whose texts JSON reads back and respells) or writes with three
-    # exponent digits
+    # values the numpy formatter leaves to the per-float route: negative
+    # subnormals, whose texts are wider than its cells, normals below 1e-307,
+    # whose texts JSON reads back and respells, and values below 1e-98, whose
+    # exponents have three digits
     *(
         (0, ["run", "sec8", *LONG, "--epsilon", epsilon, "--format", fmt, *OUT])
         for epsilon in ("-1e-310", "1e-307", "1e-200")
@@ -182,6 +182,8 @@ COMMANDS = [
     (1, ["run", "sec5", *SMALL], "closed-stdout"),
     (1, ["list"], "closed-stdout"),
     (1, ["run", "sec5", "--out", "{tmp}/missing/out"]),
+    # a directory that exists, where no file can be created
+    (1, ["run", "sec5", *SMALL, "--out", "/proc/out"]),
     (1, ["run", "sec8", "--format", "json", "--out", "{tmp}/big"], "file-size-limit"),
     (0, ["list"], "entry"),
     (1, ["run", "sec9"], "entry"),
@@ -189,6 +191,7 @@ COMMANDS = [
     (1, []),
     (1, ["run", "sec9"]),
     (1, ["run", "sec5", "--precision", "5"]),
+    (1, ["run", "sec5", "--precision", "6.5"]),  # argparse's own refusal
     (1, ["run", "sec5", "--out", ""]),
     (1, ["run", "sec3", "--format", "csv"]),
     (1, ["run", "sec5", "--p", "2"]),
