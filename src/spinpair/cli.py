@@ -458,10 +458,10 @@ def _write_file(path: str, render) -> None:
     """Write through a temporary file next to the target, moved into place
     once the whole document is written: a failed render or write leaves no
     partial file, and a file already there keeps its old bytes until then
-    and its permission bits after."""
-    # a descriptor: written through it, so a `>> log` behind it is appended
-    # to, as without --out. /dev/null, a FIFO: nothing to replace, so written
-    # in place. The file tests follow symlinks and take the path as given.
+    and its permission bits after. The target gets a new inode, so another
+    hard link to the old one keeps the old bytes."""
+    # a descriptor: written through, so a `>> log` behind it is appended to, as
+    # without --out. /dev/null, a FIFO: in place. These tests follow symlinks.
     fd = _named_fd(path)
     if fd is not None or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path if fd is None else fd, "wb", closefd=fd is None) as handle:
@@ -471,9 +471,9 @@ def _write_file(path: str, render) -> None:
     head, tail = os.path.split(target)
     # ".{name}.{pid}.tmp", the name cut to the bytes the file system allows
     suffix = f".{os.getpid()}.tmp"
-    room = os.pathconf(head, "PC_NAME_MAX") - 1 - len(suffix)
-    temp = os.path.join(head, f".{os.fsdecode(os.fsencode(tail)[:room])}{suffix}")
     try:
+        room = os.pathconf(head, "PC_NAME_MAX") - 1 - len(suffix)
+        temp = os.path.join(head, f".{os.fsdecode(os.fsencode(tail)[:room])}{suffix}")
         handle = open(temp, "xb")
     except FileExistsError:  # left by a killed run that had this pid
         os.unlink(temp)  # removes a symlink itself, never its target

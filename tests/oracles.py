@@ -64,6 +64,17 @@ def rendered(render) -> str:
     return b"".join(parts).decode("ascii")
 
 
+def assert_same_document(got, expected) -> None:
+    """got == expected, as strict; a mismatch reports both lengths and the first
+    offset where they part, with 60 bytes around it, where pytest can take
+    minutes to diff two documents of a few megabytes."""
+    if got != expected:
+        at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected)))
+        around = slice(max(at - 60, 0), at + 60)
+        raise AssertionError(f"lengths {len(got)} and {len(expected)}, first difference at offset {at}:\n"
+                             f"got      {got[around]!r}\nexpected {expected[around]!r}")
+
+
 def fmt(value: float, precision: int) -> str:
     return format(float(value), f".{precision}g")
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import GivenPoints
+from oracles import GivenPoints, assert_same_document
 from spinpair import cli
 from spinpair.cli import RunConfig, UsageError, emit_report, main, parse_args
 from spinpair.scenarios import (
@@ -157,11 +157,6 @@ class TestEmitReport:
         path = tmp_path / "out.csv"
         assert emit_report(tiny_report(passed=False), run_config(str(path))) == 2
 
-    def test_stdout_when_no_path(self, capsys):
-        assert emit_report(tiny_report(), run_config(None)) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("t,arm,sigma1,sigma2,sigma3")
-
 
 class TestMain:
     def test_scenario_run_exit_zero(self, tmp_path):
@@ -205,12 +200,6 @@ class TestMain:
         assert main(["run", "sec6", "--p", "1.0", "--t-max", "1", "--dt", "0.1"]) == 1
         assert "mixture" in capsys.readouterr().err
 
-    def test_unwritable_path_exit_one(self, tmp_path, capsys):
-        target = tmp_path / "missing-dir" / "out.csv"
-        code = main(["run", "sec5", "--t-max", "1", "--dt", "0.1", "--out", str(target)])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
-
     def test_list_exit_zero(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
@@ -224,7 +213,7 @@ class TestMain:
         second = tmp_path / "b.json"
         assert main(args + ["--out", str(first)]) == 0
         assert main(args + ["--out", str(second)]) == 0
-        assert first.read_bytes() == second.read_bytes()
+        assert_same_document(first.read_bytes(), second.read_bytes())
 
     @pytest.mark.parametrize("command", [["run", "sec3"], ["run", "linear"], ["verify-linear"]])
     def test_linear_suite_refuses_csv(self, command, tmp_path, capsys):
@@ -288,7 +277,7 @@ class TestMain:
         spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
         assert main([*args, str(spaced), "--epsilon", "-1e-3"]) == 0
         assert main([*args, str(joined), "--epsilon=-1e-3"]) == 0
-        assert spaced.read_bytes() == joined.read_bytes()
+        assert_same_document(spaced.read_bytes(), joined.read_bytes())
 
     def test_precision_caps_emitted_digits(self, tmp_path):
         path = tmp_path / "out.csv"

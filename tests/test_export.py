@@ -3,13 +3,11 @@
 `tests/oracles.py` keeps that route: every float formatted on its own
 and, in JSON, parsed back and written by the json encoder. These tests pin
 the fast route to it byte for byte, from single float texts up to whole
-reports cut into chunks of any row count, and check how the exporter
-writes: atomically to `--out`, the same bytes to stdout, and in memory that
-stays near one chunk.
+reports cut into chunks of any row count, and check that the exporter
+writes in memory that stays near one chunk. Where the bytes go is
+`tests/test_write_path.py`'s table.
 """
 
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -24,7 +22,7 @@ from hypothesis import strategies as st
 
 import oracles
 from spinpair import cli, scenarios
-from spinpair.cli import RunConfig, emit_report, main
+from spinpair.cli import RunConfig, emit_report
 from spinpair.dynamics_nonlinear import ROWS
 from spinpair.scenarios import (
     SPECS,
@@ -236,8 +234,8 @@ def assert_matches_the_oracle(report, precision, chunk_rows=CHUNK_ROWS):
     json_text, csv_text = oracles.render_json(report, precision), oracles.render_csv(report, precision)
     for rows in chunk_rows:
         with mock.patch.object(cli, "ROWS", rows):
-            assert oracles.rendered(cli._render_json(report, precision)) == json_text
-            assert oracles.rendered(cli._render_csv(report, precision)) == csv_text
+            oracles.assert_same_document(oracles.rendered(cli._render_json(report, precision)), json_text)
+            oracles.assert_same_document(oracles.rendered(cli._render_csv(report, precision)), csv_text)
 
 
 @pytest.mark.parametrize(
@@ -286,10 +284,11 @@ def test_kept_rows_write_the_bytes_of_rows_evaluated_again(argv):
     assert report.kept and not any(rows.flags.writeable for rows in report.kept.values())
     with mock.patch.object(scenarios, "KEEP_BYTES", 0):
         unkept, render_unkept = command_run(argv)
-        assert not unkept.kept and render_unkept() == text
+        assert not unkept.kept
+        oracles.assert_same_document(render_unkept(), text)
     for rows in (1000, ROWS + 1):
         with mock.patch.object(cli, "ROWS", rows):
-            assert render() == text
+            oracles.assert_same_document(render(), text)
 
 
 @pytest.mark.parametrize("precision", [6, 12, 13, 16])
@@ -398,243 +397,7 @@ def test_csv_memory_stays_flat_in_the_grid_length():
     assert longer <= 1.25 * peak
 
 
-@pytest.mark.parametrize("existing", [None, b"old bytes\n"])
-def test_a_failed_write_leaves_no_file(existing, tmp_path, monkeypatch, capsys):
-    """The stream breaks once its first chunk (the skeleton up to the first
-    trajectory) has gone to the temporary file."""
-
-    def full_disk(*args):
-        raise OSError("no space left on device")
-
-    path = tmp_path / "out.json"
-    if existing is not None:
-        path.write_bytes(existing)
-    monkeypatch.setattr(cli, "_write_rows", full_disk)
-    assert main(["run", "sec8", "--t-max", "1", "--dt", "0.1", "--format", "json", "--out", str(path)]) == 1
-    assert "no space left on device" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == ([] if existing is None else ["out.json"])
-    if existing is not None:
-        assert path.read_bytes() == existing
-
-
-def test_a_finished_write_replaces_the_file(tmp_path):
-    path = tmp_path / "out.csv"
-    path.write_bytes(b"old bytes\n")
-    args = ["run", "sec5", "--t-max", "1", "--dt", "0.1", "--out", str(path)]
-    assert main(args) == 0
-    assert path.read_text().startswith("t,arm,sigma1,sigma2,sigma3\n")
-    assert os.listdir(tmp_path) == ["out.csv"]
-
-
-@pytest.mark.parametrize("planted", ["file", "symlink"])
-def test_a_stale_temporary_file_is_replaced(planted, tmp_path):
-    """A run killed mid-write leaves its temporary file behind; a later run
-    that gets the same pid removes it and writes the target with the mode a
-    fresh write gets. A symlink planted there is removed, never followed."""
-    stale = tmp_path / f".r.csv.{os.getpid()}.tmp"
-    victim = tmp_path / "victim"
-    victim.write_bytes(b"keep\n")
-    if planted == "file":
-        stale.write_bytes(b"partial")
-    else:
-        stale.symlink_to(victim)
-    args = ["run", "sec5", "--t-max", "1", "--dt", "0.1", "--out"]
-    assert main([*args, str(tmp_path / "r.csv")]) == 0
-    assert main([*args, str(tmp_path / "fresh.csv")]) == 0
-    assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "r.csv", "victim"]
-    assert victim.read_bytes() == b"keep\n"
-    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
-    assert (tmp_path / "r.csv").stat().st_mode == (tmp_path / "fresh.csv").stat().st_mode
-
-
-def test_out_may_name_a_device():
-    """A target that is not a regular file is written in place, not replaced."""
-    assert main(["run", "sec5", "--t-max", "1", "--dt", "0.1", "--out", os.devnull]) == 0
-    assert not os.path.isfile(os.devnull)
-
-
-def test_a_long_out_name_is_written(tmp_path):
-    """A 250-byte file name is valid, though ".{name}.{pid}.tmp" is longer
-    than the 255 bytes a name may have: the temporary name is cut to fit."""
-    args = ["run", "sec5", "--t-max", "1", "--dt", "0.1", "--out"]
-    assert main([*args, str(tmp_path / ("a" * 250))]) == 0
-    assert main([*args, str(tmp_path / "short")]) == 0
-    assert sorted(os.listdir(tmp_path)) == ["a" * 250, "short"]
-    assert (tmp_path / ("a" * 250)).read_bytes() == (tmp_path / "short").read_bytes()
-
-
-@contextlib.contextmanager
-def umask(mask):
-    old = os.umask(mask)
-    try:
-        yield
-    finally:
-        os.umask(old)
-
-
-@pytest.mark.parametrize("mode", [0o600, 0o640, 0o754], ids=oct)
-def test_a_replaced_file_keeps_its_mode(mode, tmp_path):
-    """Under a umask that gives a new file 0644, a file already there keeps
-    its permission bits, and a new one takes the umask's."""
-    path = tmp_path / "out.csv"
-    path.write_bytes(b"old bytes\n")
-    path.chmod(mode)
-    args = ["run", "sec5", "--t-max", "1", "--dt", "0.1", "--out"]
-    with umask(0o022):
-        assert main([*args, str(path)]) == 0
-        assert main([*args, str(tmp_path / "new.csv")]) == 0
-    assert path.read_text().startswith("t,arm,sigma1,sigma2,sigma3\n")
-    assert path.stat().st_mode & 0o7777 == mode
-    assert (tmp_path / "new.csv").stat().st_mode & 0o7777 == 0o644
-
-
-def test_a_closed_stdout_exits_one(monkeypatch, capsys):
-    """Python sets sys.stdout to None when it starts with fd 1 closed; the
-    run ends in one error line that points to --out, not a traceback."""
-    monkeypatch.setattr(sys, "stdout", None)
-    assert main(["run", "sec5", "--t-max", "1", "--dt", "0.1"]) == 1
-    assert capsys.readouterr().err == "error: stdout is closed; use --out\n"
-
-
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(__file__))), "src")
-
-
-def spinpair(*argv, **kwargs):
-    """A `python -m spinpair` child with the package from this checkout."""
-    env = {**os.environ, "PYTHONPATH": SRC}
-    return subprocess.Popen([sys.executable, "-m", "spinpair", *argv], env=env, **kwargs)
-
-
-@pytest.mark.parametrize("stdout", ["/dev/stdout", "/dev/fd/1"])
-def test_out_may_name_stdout_on_a_pipe(stdout, tmp_path):
-    """/dev/stdout on a pipe resolves to a name that no file has; the pipe
-    is written in place, with the bytes --out FILE gets."""
-    argv = ["verify-linear", "--trials", "3"]
-    path = tmp_path / "out.json"
-    assert spinpair(*argv, "--out", str(path)).wait(timeout=60) == 0
-    child = spinpair(*argv, "--out", stdout, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    out, err = child.communicate(timeout=60)
-    assert (child.returncode, err) == (0, b"")
-    assert out == path.read_bytes()
-
-
-@pytest.mark.parametrize("fd", [1, 2])
-def test_out_naming_an_appended_log_appends(fd, tmp_path):
-    """`--out /dev/stdout >> log` writes through fd 1, as a run without --out
-    would, so the log keeps what it held; replacing the file behind fd 1
-    would drop it. Likewise /dev/stderr and `2>> log`."""
-    argv = ["run", "sec5", "--t-max", "1", "--dt", "0.5"]
-    path = tmp_path / "out.csv"
-    assert spinpair(*argv, "--out", str(path)).wait(timeout=60) == 0
-    log = tmp_path / "log"
-    log.write_bytes(b"old\n")
-    with open(log, "ab") as appended:
-        streams = {"stdout": appended} if fd == 1 else {"stderr": appended}
-        assert spinpair(*argv, "--out", ["/dev/stdout", "/dev/stderr"][fd - 1], **streams).wait(timeout=60) == 0
-    assert log.read_bytes() == b"old\n" + path.read_bytes()
-    assert sorted(os.listdir(tmp_path)) == ["log", "out.csv"]
-
-
-@pytest.mark.parametrize("prefix", ["/dev/fd", "/proc/self/fd"])
-def test_out_naming_any_descriptor_writes_through_it(prefix, tmp_path):
-    """`--out /dev/fd/3 3>> log` writes through fd 3, so the log keeps what
-    it held. /proc/self/fd/3 resolves to the log itself, which a write
-    through a temporary file would replace."""
-    argv = ["run", "sec5", "--t-max", "1", "--dt", "0.5"]
-    path = tmp_path / "out.csv"
-    assert spinpair(*argv, "--out", str(path)).wait(timeout=60) == 0
-    log = tmp_path / "log"
-    log.write_bytes(b"old\n")
-    with open(log, "ab") as appended:
-        out = f"{prefix}/{appended.fileno()}"
-        assert spinpair(*argv, "--out", out, pass_fds=(appended.fileno(),)).wait(timeout=60) == 0
-    assert log.read_bytes() == b"old\n" + path.read_bytes()
-    assert sorted(os.listdir(tmp_path)) == ["log", "out.csv"]
-
-
-def test_out_naming_a_closed_descriptor_is_one_error_line(tmp_path):
-    """`--out /dev/stdout >&-`: the error names the descriptor, not a
-    temporary file next to it, and no file is left."""
-    argv = [sys.executable, "-m", "spinpair", "run", "sec5", "--t-max", "1", "--dt", "0.5", "--out", "/dev/stdout"]
-    env = {**os.environ, "PYTHONPATH": SRC}
-    child = subprocess.run(
-        ["sh", "-c", 'exec "$@" >&-', "sh", *argv], cwd=tmp_path, env=env, stderr=subprocess.PIPE, timeout=60
-    )
-    assert (child.returncode, child.stderr) == (1, b"error: /dev/stdout: descriptor 1 is not open\n")
-    assert os.listdir(tmp_path) == []
-
-
-def test_an_empty_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
-    """An empty --out would name the working directory, and the run would end
-    trying to replace it with a temporary file written into its parent."""
-    work = tmp_path / "work"
-    work.mkdir()
-    monkeypatch.chdir(work)
-    with mock.patch.object(cli, "run_scenario") as run:
-        assert main(["run", "sec5", "--t-max", "1", "--dt", "0.5", "--out", ""]) == 1
-    run.assert_not_called()
-    assert capsys.readouterr().err == "error: --out must name a file\n"
-    assert os.listdir(tmp_path) == ["work"]
-    assert os.listdir(work) == []
-
-
-@pytest.mark.parametrize("out", ["res.csv/", "res.csv/.", "new/", "new/."])
-def test_an_out_naming_a_directory_is_refused(out, tmp_path, monkeypatch, capsys):
-    """A path that ends in "/" or "/." names a directory, as open() reads it;
-    the run must not replace the file res.csv with the report, nor create a
-    file named new."""
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "res.csv").write_bytes(b"keep\n")
-    assert main(["run", "sec5", "--t-max", "1", "--dt", "0.5", "--out", out]) == 1
-    assert capsys.readouterr().err == "error: --out must name a file\n"
-    assert os.listdir(tmp_path) == ["res.csv"]
-    assert (tmp_path / "res.csv").read_bytes() == b"keep\n"
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
-def test_a_temporary_file_that_cannot_be_made_names_out(capsys):
-    """The temporary file is an implementation detail: an error creating it
-    names the file asked for."""
-    assert main(["run", "sec5", "--t-max", "1", "--dt", "0.5", "--out", "/proc/out"]) == 1
-    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: '/proc/out'\n"
-
-
-def test_list_to_a_closed_stdout_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdout", None)
-    assert main(["list"]) == 1
-    assert capsys.readouterr().err == "error: stdout is closed\n"
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [["list"], ["run", "sec5", "--t-max", "1", "--dt", "0.5"]], ids=" ".join)
-@pytest.mark.parametrize("buffered", [True, False])
-def test_a_full_stdout_is_one_error_line(argv, buffered):
-    """`> /dev/full`: a write to stdout fails. Buffered, as a file stdout is by
-    default, a short document fails only at the flush; the bytes it leaves in
-    the buffer must not fail again when Python flushes stdout at exit."""
-    env = {**os.environ, "PYTHONPATH": SRC}
-    env.pop("PYTHONUNBUFFERED", None)
-    with open("/dev/full", "wb") as full:
-        child = subprocess.run(
-            [sys.executable, *([] if buffered else ["-u"]), "-m", "spinpair", *argv],
-            env=env, stdout=full, stderr=subprocess.PIPE, timeout=60,
-        )
-    assert (child.returncode, child.stderr) == (1, b"error: [Errno 28] No space left on device\n")
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_plain_stdout_on_a_pipe_gets_the_bytes_of_out(fmt, tmp_path):
-    """Without --out the report goes to stdout's binary buffer. A 1,001-point
-    sec8 grid takes the byte matrix, and in JSON the repeated row of the
-    constant marker-measured arm too."""
-    argv = ["run", "sec8", "--t-max", "1", "--dt", "0.001", "--format", fmt]
-    path = tmp_path / f"out.{fmt}"
-    assert spinpair(*argv, "--out", str(path)).wait(timeout=60) == 0
-    child = spinpair(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    out, err = child.communicate(timeout=60)
-    assert (child.returncode, err) == (0, b"")
-    assert out == path.read_bytes()
-
 
 # Max RSS of `run sec8 --t-max 1000 --out /dev/null` (1,000,001 grid points):
 # 40.9-41.1 MB in CSV and in JSON over four runs each (374 MB when a report
@@ -665,28 +428,3 @@ def test_the_cap_run_stays_near_one_chunk(fmt):
     code, max_rss_kib = map(int, measured.stdout.split())
     assert code == 0
     assert max_rss_kib / 1024 <= CAP_RUN_RSS_MB
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_a_text_stdout_gets_the_text_of_out(fmt, tmp_path):
-    """A stdout with no binary buffer, as contextlib.redirect_stdout often
-    installs, gets the document as ASCII text. A 1,001-point sec8 grid takes
-    the byte matrix, and in JSON a constant arm's repeated row, whose last
-    chunk goes to write as a memoryview."""
-    args = ["run", "sec8", "--t-max", "1", "--dt", "0.001", "--format", fmt]
-    path = tmp_path / f"out.{fmt}"
-    with contextlib.redirect_stdout(io.StringIO()) as stdout:
-        assert main(args) == 0
-    assert main([*args, "--out", str(path)]) == 0
-    assert stdout.getvalue().encode("ascii") == path.read_bytes()
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_stdout_gets_the_bytes_of_out(fmt, tmp_path, capsys):
-    args = ["run", "sec8", "--t-max", "2", "--dt", "0.01", "--format", fmt]
-    path = tmp_path / f"out.{fmt}"
-    with mock.patch.object(cli, "ROWS", 7):  # several chunks per trajectory
-        assert main(args) == 0
-        streamed = capsys.readouterr().out
-        assert main([*args, "--out", str(path)]) == 0
-    assert streamed.encode("utf-8") == path.read_bytes()

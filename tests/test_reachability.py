@@ -5,11 +5,12 @@ records each line it executes in the package, then runs the command line
 at small sizes: every command, every scenario in both formats at each
 precision path, both sec8 bases, grids long enough for the numpy formatter,
 epsilons small enough for its rare cells, a grid too long for the report to
-keep its rows, output to a file, to stdout, to stderr by name and as the
-file open on it, to a closed stdout and a closed descriptor, to a device,
-over a stale temporary file and past a file-size limit, `python -m
-spinpair`, and every refusal. Each command carries the exit code it must
-end in. The executable lines are those of every code object compiled from
+keep its rows, a write to each target that some line of the write path
+handles (a file, stdout, stderr by name and as the file open on it, a closed
+stdout, a closed descriptor, a device, a stale temporary file, a file-size
+limit; what each must be left holding is the table of
+tests/test_write_path.py), `python -m spinpair`, and every refusal. Each
+command carries the exit code it must end in. The executable lines are those of every code object compiled from
 the package's files. A line that no command executes is dead: it goes, or
 a command that reaches it joins the list, unless it is a statement of
 KEEP, named by its def and its text. Those guard against a state, basis or
