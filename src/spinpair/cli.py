@@ -13,13 +13,14 @@ One row emitter writes those rows, the JSON grid and the CSV's
 `t,arm,s1,s2,s3` rows, a chunk of ROWS rows at a time: each chunk's points
 are those the report's checks kept (`ScenarioReport.rows`), or else
 evaluated as the chunk is written. From CROSSOVER rows on, a chunk is one
-uint8 matrix of numpy-formatted float cells and literal separators, read
-off as its nonzero bytes; the values numpy cannot round with certainty or
-whose exponent could need three digits, shorter chunks and precisions
-above 13 take the per-float route. A chunk whose every cell is one row, as
-the rows of a constant closed form are, is that row's bytes repeated, with
-no matrix. The writers pass bytes to `write`: a file opened in binary mode,
-or stdout's binary buffer (ASCII text to a stdout without one).
+uint8 matrix of fixed-width float cells between the literal separators,
+read off as its nonzero bytes; numpy formats the chunk's varying columns as
+one block, straight into the cells, through buffers that every chunk of an
+array reuses. The values numpy cannot round with certainty, shorter chunks
+and precisions above 13 take the per-float route. A chunk whose every cell is one row, as the rows of a
+constant closed form are, is that row's bytes repeated, with no matrix. The
+writers pass bytes to `write`: a file opened in binary mode, or stdout's
+binary buffer (ASCII text to a stdout without one).
 """
 
 from __future__ import annotations
@@ -52,20 +53,23 @@ CROSSOVER = 384  # chunk rows from which numpy, not a call per float, formats th
 # Tables of the numpy formatter, `_float_cells`. Its uint64 words hold bytes
 # in memory order, so it runs on little-endian hosts only.
 _U64 = np.uint64
-_BYTES = _U64(0x0101010101010101)  # 1 in every byte lane
 _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"), dtype="<u2")  # "00".."99"
-# 10**j and 1, or 1 and 10**-j, at column j + _TENS_AT: exact for |j| <= 22
-_TENS_AT = 303
-_TENS = np.array([[float(10 ** max(j, 0)), float(10 ** max(-j, 0))] for j in range(-_TENS_AT, 309)]).T.copy()
-# two words whose first c bytes are 0xFF, for c in 0..16
+_QUADS = (_PAIRS[:, None].astype("<u4") | _PAIRS.astype("<u4") << 16).ravel()  # "0000".."9999"
+# two words whose first c bytes are 0xFF, for c in 0..16; a "." at byte c, none at 16
 _FIRST_BYTES = np.array([[(1 << 8 * min(c, 8)) - 1, (1 << 8 * max(c - 8, 0)) - 1] for c in range(17)], _U64)
-# the sign (6 * neg), then "0." and -e - 1 zeros of a value below 1 (lead 1 - e), right-aligned in 8 bytes
-_HEADS = np.array(
-    [int.from_bytes(("-" * neg + ("0." + "0" * (lead - 2)) * (lead > 0)).rjust(8, "\0").encode(), "little")
-     for neg in (0, 1) for lead in range(6)],
-    _U64,
-)
-for _table in (_TENS, _FIRST_BYTES, _HEADS):
+_DOTS = np.vstack([(_FIRST_BYTES[1:] ^ _FIRST_BYTES[:-1]) & _U64(0x2E2E2E2E2E2E2E2E), np.zeros((1, 2), _U64)])
+# By precision p in 6..13 and exponent e in -99..99, row 199 * (p - 6) + e + 99:
+# 10**(p - 1 - e) as a factor and a divisor, one of them 1; the byte after the
+# digit the point follows (16 for none); "e", the exponent's sign and two
+# digits, or 0 in fixed form; and, 1592 rows on for a negative value, the sign,
+# then "0." and -e - 1 zeros of a value below 1, right-aligned in 6 bytes.
+_BY_P = [(p, e) for p in range(6, 14) for e in range(-99, 100)]
+_SCALES = np.array([[float(10 ** max(p - 1 - e, 0)) for p, e in _BY_P], [float(10 ** max(e + 1 - p, 0)) for p, e in _BY_P]])
+_POINTS = np.array([e + 1 if 0 <= e < p else 16 if -4 <= e < 0 else 1 for p, e in _BY_P], np.int16)
+_EXPOS = np.array([0 if -4 <= e < p else int.from_bytes(f"e{e:+03d}".encode(), "little") for p, e in _BY_P], "<u4")
+_HEADS = np.array([int.from_bytes(("-" * neg + ("0." + "0" * (-1 - e)) * (-4 <= e < 0)).rjust(6, "\0").encode(), "little")
+                   for neg in (0, 1) for p, e in _BY_P], _U64)
+for _table in (_QUADS, _FIRST_BYTES, _DOTS, _SCALES, _POINTS, _EXPOS, _HEADS):
     _table.setflags(write=False)
 _SLOT = '"\\u0000"'  # an array's placeholder, "\0", as json.dumps writes it
 _FD_PATH = r"/(?:dev|proc/self)/fd/(\d+)"  # a path that names descriptor N
@@ -217,93 +221,100 @@ def _one_bit_pattern(column) -> bool:
     return first != 0.0 or bool((np.signbit(column) == np.signbit(first)).all())
 
 
-def _text_cells(texts: list[str]) -> np.ndarray:
-    """Texts as the rows of a uint8 matrix, each padded with 0 bytes."""
-    return np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
+def _float_cells(columns, precision: int, as_json: bool, rows, at, scratch) -> None:
+    """Write `_float_texts(column, precision, as_json)` of each float column,
+    as long as rows, into the uint8 matrix rows: column j's cells are the
+    max(11 + p, 22) bytes from byte at[j], padded with 0. scratch is a uint8
+    buffer of 56 bytes per value or more.
 
+    numpy formats the columns as one block, for precisions p up to 13 on a
+    little-endian host. With e = floor(log10|x|) in -99..99, m = rint(|x| *
+    10**(p - 1 - e)) holds the p significant digits (one rounding for |p - 1
+    - e| <= 22, two above), and m * 10**(16 - p) four groups of four ASCII
+    digits (`_QUADS`). The digits after the last nonzero one, or after the
+    integer part if that is longer, are masked to 0, and those after the
+    point move up a byte for it. A cell's sign and any "0." and zeros, its
+    digits and point, and "e", the exponent's sign and two digits go in as
+    unaligned words at bytes 0, 6 and 7 + p, each over the 0 bytes before.
 
-def _float_cells(column, precision: int, as_json: bool = False) -> np.ndarray:
-    """`_float_texts(column, precision, as_json)` as an `(n, W)` uint8 matrix
-    whose nonzero bytes in each row spell that row's text; a column of one
-    bit pattern gives a single row, which broadcasts.
-
-    numpy formats the column, for precisions p up to 13 on a little-endian
-    host. With e = floor(log10|x|), m = rint(|x| * 10**(p - 1 - e)) holds
-    the p significant digits; the scaling takes one rounding for
-    |p - 1 - e| <= 22 and two above. m's digits come out one per byte of two
-    uint64 words: four digits per 32-bit lane, then two per 16-bit lane,
-    then one per byte. The digits after the last nonzero one, or after the
-    integer part if that is longer, are masked to 0. A cell is the sign and
-    any "0." and zeros, right-aligned in six bytes, then the digits with a
-    slot for the point after each digit that needs one, then "e", the
-    exponent's sign and its two digits; a slot a value does not use stays 0.
-
-    The per-float route writes the cells of zeros, values below 1e-98
-    (subnormals among them) or from 1e99 on, whose exponents could need
-    three digits, non-finite values, scaled fractions within
-    2**-49 * 10**p (at least 4 ulp) of one half, digits m outside
-    [10**(p - 1), 10**p) (an off-by-one e, or a carry into the next decade),
-    and in JSON integral and "e+XX" texts, which json spells otherwise."""
-    n = len(column)
-    if n == 1 or _one_bit_pattern(column):
-        return _text_cells(_float_texts(column[:1], precision, as_json))
-    p = precision
-    size = np.abs(column)
-    ok = (size >= 1e-98) & (size < 1e99)  # two exponent digits; NaN fails both
-    size = np.where(ok, size, 1.0)
-    e = np.floor(np.log10(size)).astype(np.intp)
-    scale = (p - 1 + _TENS_AT) - e  # 10**(p - 1 - e) as a factor and a divisor, one of them 1
-    y = size * _TENS[0].take(scale) / _TENS[1].take(scale)
-    m = np.rint(y)
-    ok &= (y >= 10.0 ** (p - 1)) & (m < 10.0**p) & (np.abs(y - m) < 0.5 - 2.0**-49 * 10.0**p)
-    m = np.where(ok, m, 10.0 ** (p - 1))
-    # m // 10**8 and m % 10**8, then four digits per 32-bit lane (each float
-    # floor is exact: 1e-8 and 1e-4 round up), two per 16-bit lane, one per byte
-    words = np.empty((n, 2))
-    words[:, 0] = np.floor(m * 1e-8)
-    words[:, 1] = m - words[:, 0] * 1e8
-    high = np.floor(words * 1e-4)
-    x = high.astype(_U64) | ((words - high * 1e4).astype(_U64) << _U64(32))
-    high = ((x * _U64(10486)) >> _U64(20)) & _U64(0x0000007F0000007F)  # v // 100 for v < 10**4
-    x = high | ((x - high * _U64(100)) << _U64(16))
-    high = ((x * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)  # v // 10 for v < 100
-    x = high | ((x - high * _U64(10)) << _U64(8))
+    The per-float route writes the cells of zeros, non-finite values, scaled
+    fractions within 2**-49 * 10**p (at least 4 ulp) of one half, digits m
+    outside [10**(p - 1), 10**p) (an off-by-one or clipped e, or a carry into
+    the next decade), and in JSON integral and "e+XX" texts, which json spells
+    otherwise."""
+    p, count = precision, len(rows)
+    n, offset, width = count * len(columns), 199 * (p - 6) + 99, max(11 + p, 22)
+    parts = np.split(scratch[: 56 * n], np.cumsum([16 * n, 16 * n, 16 * n, 2 * n]))
+    floats, index, spare, (ok, flag), (kept, point, power) = (
+        part.view(dtype).reshape(-1, n) for part, dtype in zip(parts, (np.float64, np.intp, _U64, np.bool_, np.int16)))
+    (size, m), row, spare = floats, index[0], spare.reshape(n, 2)
+    for j, column in enumerate(columns):
+        np.abs(column, out=size[j * count : (j + 1) * count])
+    with np.errstate(divide="ignore"):  # 0, inf and NaN take e = -99 or 99, and fail the checks below
+        np.floor(np.log10(size, out=m), out=m)
+    np.copyto(row, np.fmin(np.fmax(m, -99.0, out=m), 99.0, out=m), casting="unsafe")
+    row += offset
+    np.subtract(row, offset - 1, out=power, casting="unsafe")  # e + 1
+    _POINTS.take(row, out=point, mode="clip")
+    size *= _SCALES[0].take(row, out=m, mode="clip")
+    size /= _SCALES[1].take(row, out=m, mode="clip")
+    np.rint(size, out=m)  # size is now y, and m its rounding
+    np.greater_equal(size, 10.0 ** (p - 1), out=ok)
+    ok &= np.less(m, 10.0**p, out=flag)
+    size -= m
+    ok &= np.less(np.abs(size, out=size), 0.5 - 2.0**-49 * 10.0**p, out=flag)
+    np.copyto(m, 10.0 ** (p - 1), where=np.logical_not(ok, out=flag))
+    m *= 10.0 ** (16 - p)  # p digits, then 16 - p zeros
+    # m // 10**8 and m % 10**8 (1e-8 rounds up, so the floor is exact), then each
+    # word's high group by truncation (1e-4 rounds up) and low group by rint
+    np.floor(np.multiply(m, 1e-8, out=size), out=size)
+    m -= np.multiply(size, 1e8, out=size)
+    size /= 1e8
+    floats *= 1e-4
+    halves = spare.reshape(-1).view("<u4").reshape(2, 2, n)
+    np.copyto(index, floats, casting="unsafe")
+    _QUADS.take(index, out=halves[0], mode="clip")
+    floats -= index
+    np.copyto(index, np.rint(np.multiply(floats, 1e4, out=floats), out=floats), casting="unsafe")
+    _QUADS.take(index, out=halves[1], mode="clip")
+    groups = floats.reshape(-1).view("<u4").reshape(n, 2, 2)  # four digits each, in memory order
+    for part in range(4):
+        groups[:, part & 1, part >> 1] = halves[part >> 1, part & 1]
+    digits, words = groups.reshape(n, 4).view(_U64), spare.view(np.float64)
     # digits up to the last nonzero one: a word's bit length, in bytes (a
-    # digit byte is below 16, so the float conversion cannot round it up)
-    length = (np.frexp(x.astype(float))[1] + 7) >> 3
-    kept = np.where(x[:, 1] != 0, 8 + length[:, 1], length[:, 0]) - (16 - p)
-    fixed = (e >= -4) & (e < p)
-    whole = fixed & (e >= 0)  # e + 1 digits before the point
+    # digit's low nibble is below 16, so the float conversion cannot round it up)
+    lengths = index.reshape(-1)[:n].view(np.int32).reshape(n, 2)
+    np.frexp(np.bitwise_and(digits, _U64(0x0F0F0F0F0F0F0F0F), out=words, casting="unsafe"), out=(words, lengths))
+    np.right_shift(np.add(lengths, 7, out=lengths), 3, out=lengths)
+    np.add(lengths[:, 1], 8, out=lengths[:, 1], where=np.greater(lengths[:, 1], 0, out=flag))
+    np.maximum(lengths[:, 0], lengths[:, 1], out=kept, casting="unsafe")
     if as_json:
-        ok &= ~(whole & (kept <= e + 1)) & (fixed | (e < 0))
-    kept = np.where(whole, np.maximum(kept, e + 1), kept)
-    digits = ((x | _BYTES * _U64(0x30)) & np.take(_FIRST_BYTES, 16 - p + kept, axis=0)).view(np.uint8)[:, 16 - p :]
-    point = np.where(whole, e, np.where(fixed, -1, 0))  # the digit the point follows
-    point = np.where(kept > point + 1, point, -1)
-    last = int(point.max())  # point slots after digits 0..last
-    expo = ~fixed
-    has_expo = bool(expo.any())
-    cells = np.zeros((n, 6 + p + last + 1 + has_expo * 4), np.uint8)
-    lead = np.where(fixed & (e < 0), 1 - e, 0)  # "0." and -e - 1 zeros
-    cells[:, :6] = _HEADS.take(6 * np.signbit(column) + lead).view(np.uint8).reshape(n, 8)[:, 2:]
-    cells[:, 6 : 6 + 2 * last + 2 : 2] = digits[:, : last + 1]
-    cells[:, 7 : 7 + 2 * last + 2 : 2] = np.where(np.arange(last + 1) == point[:, None], 46, 0)
-    at = 6 + p + last + 1
-    cells[:, 6 + 2 * last + 2 : at] = digits[:, last + 1 :]
-    if has_expo:  # "e", the sign, and two digits, in the rows in exponent form
-        rows = np.flatnonzero(expo)
-        power = np.abs(e[rows])
-        cells[rows, at] = 101
-        cells[rows, at + 1] = np.where(e[rows] < 0, 45, 43)
-        cells[rows, at + 2 :] = _PAIRS.take(power).view(np.uint8).reshape(-1, 2)
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        texts = _text_cells(_float_texts(column[rest], p, as_json))
-        if texts.shape[1] > cells.shape[1]:
-            cells = np.pad(cells, ((0, 0), (0, texts.shape[1] - cells.shape[1])))
-        cells[rest] = 0
-        cells[rest, : texts.shape[1]] = texts
-    return cells
+        ok &= np.greater(kept, power, out=flag)
+    np.maximum(kept, point, out=kept, where=np.less(point, 16, out=flag))
+    np.copyto(point, 16, where=np.less_equal(kept, point, out=flag))  # the point's byte, 16 for none
+    np.copyto(row, kept)
+    digits &= _FIRST_BYTES.take(row, axis=0, out=spare, mode="clip")
+    np.copyto(row, point)
+    masks = _FIRST_BYTES.take(row, axis=0, out=spare, mode="clip")
+    masks &= digits  # the digits up to the point
+    digits ^= masks  # and those after it, which move up a byte
+    masks[:, 1] |= np.right_shift(digits[:, 0], _U64(56), out=index[1].view(_U64))
+    digits <<= _U64(8)
+    masks |= digits
+    masks |= _DOTS.take(row, axis=0, out=digits, mode="clip")
+    np.logical_not(ok, out=flag)
+    expos = _EXPOS.take(np.add(power, offset - 1, out=row), out=index[1].view("<u4")[:n], mode="clip")
+    for j, (column, start) in enumerate(zip(columns, at)):
+        part = slice(j * count, (j + 1) * count)
+        # each part as the unaligned word of every row that starts at its byte
+        rows[:, start : start + 8].view(_U64)[:, 0] = _HEADS.take(row[part] + 1592 * np.signbit(column))
+        rows[:, start + 6 : start + 14].view(_U64)[:, 0] = masks[part, 0]
+        rows[:, start + 14 : start + 22].view(_U64)[:, 0] = masks[part, 1]
+        rows[:, start + 7 + p : start + 11 + p].view("<u4")[:, 0] = expos[part]
+        rest = np.flatnonzero(flag[part])
+        if rest.size:
+            texts = np.array(_float_texts(column[rest], p, as_json), f"S{width}")
+            rows[rest, start : start + width] = texts.view(np.uint8).reshape(-1, width)
 
 
 def _write_rows(write, n: int, columns, literals, precision: int, as_json: bool, sep: str = "") -> None:
@@ -311,11 +322,15 @@ def _write_rows(write, n: int, columns, literals, precision: int, as_json: bool,
     joined by sep, in chunks of ROWS rows, as bytes; columns(start, stop)
     gives the chunk's columns, one float cell per column and row (a float
     array, or the texts of one shorter than CROSSOVER). A chunk of CROSSOVER
-    rows or more puts its cells and literals side by side in one uint8
-    matrix, whose nonzero bytes are its text, or, when every cell of the
-    chunk is one row, writes that row's bytes repeated."""
+    rows or more is a uint8 matrix of the literals and cells as wide as the
+    numpy formatter's widest, made once and reused, whose nonzero bytes are
+    its text, or, when every cell is one row, that row's bytes repeated."""
     literals = [*literals[:-1], literals[-1] + sep]
     encoded = [text.encode("ascii") for text in literals]
+    width = max(11 + precision, 22)
+    template = encoded[0] + b"".join(bytes(width) + literal for literal in encoded[1:])
+    at = [len(encoded[0]) + k * width + len(b"".join(encoded[1 : k + 1])) for k in range(len(encoded) - 1)]
+    matrix = scratch = None
     for start in range(0, n, ROWS):
         chunk = columns(start, start + ROWS)
         count, last = min(ROWS, n - start), start + ROWS >= n
@@ -327,27 +342,27 @@ def _write_rows(write, n: int, columns, literals, precision: int, as_json: bool,
             text = "".join(chain.from_iterable(zip(*parts)))
             write((text[: len(text) - len(sep)] if last else text).encode("ascii"))
             continue
-        cells = [_float_cells(column, precision, as_json) for column in chunk]
-        # every row starts as the literals and the one-row cells, with 0 where the other cells go
-        template = encoded[0] + b"".join(
-            (cell.tobytes() if len(cell) == 1 else bytes(cell.shape[1])) + literal
-            for cell, literal in zip(cells, encoded[1:])
-        )
-        if all(len(cell) == 1 for cell in cells):  # the template is the row; a one-row cell has no 0 byte
-            text = template * count
+        varying = [j for j, column in enumerate(chunk) if not _one_bit_pattern(column)]
+        cells = {j: _float_texts(column[:1], precision, as_json)[0].encode("ascii") for j, column in enumerate(chunk) if j not in varying}
+        if not varying:  # one row's bytes, repeated
+            text = (encoded[0] + b"".join(cells[j] + literal for j, literal in enumerate(encoded[1:]))) * count
             write(memoryview(text)[: len(text) - len(sep)] if last else text)
             continue
-        rows = np.empty((count, len(template)), np.uint8)
-        rows[:] = np.frombuffer(template, np.uint8)
-        at = len(encoded[0])
-        for cell, literal in zip(cells, encoded[1:]):
-            if len(cell) > 1:
-                rows[:, at : at + cell.shape[1]] = cell
-            at += cell.shape[1] + len(literal)
-        del cells
+        if matrix is None:
+            buffer = bytearray(template) * min(ROWS, n)
+            matrix = np.frombuffer(buffer, np.uint8).reshape(-1, len(template))
+        if scratch is None or len(scratch) < 56 * len(varying) * len(matrix):
+            scratch = np.empty(56 * len(varying) * len(matrix), np.uint8)
+        rows = matrix[:count]
+        for j, cell in cells.items():
+            rows[:, at[j] : at[j] + width] = np.frombuffer(cell.ljust(width, b"\0"), np.uint8)
+        _float_cells([chunk[j] for j in varying], precision, as_json, rows, [at[j] for j in varying], scratch)
         if last and sep:  # no separator after the last row
-            rows[-1, at - len(sep) :] = 0
-        write(rows.tobytes().translate(None, b"\0"))  # as fast as a mask per chunk, faster end to end
+            rows[-1, len(template) - len(sep) :] = 0
+        if count < len(matrix):  # the last chunk: the buffer, cut to its rows once no view holds it
+            del rows, matrix
+            del buffer[count * len(template) :]
+        write(buffer.translate(None, b"\0"))  # as fast as a mask per chunk, faster end to end
 
 
 def _jsonable(value, precision: int):
@@ -464,8 +479,11 @@ def _write_file(path: str, render) -> None:
     # without --out. /dev/null, a FIFO: in place. These tests follow symlinks.
     fd = _named_fd(path)
     if fd is not None or (os.path.exists(path) and not os.path.isfile(path)):
-        with open(path if fd is None else fd, "wb", closefd=fd is None) as handle:
-            render(handle.write)
+        try:
+            with open(path if fd is None else fd, "wb", closefd=fd is None) as handle:
+                render(handle.write)
+        except OSError as exc:  # name the file asked for, as an error opening it does
+            raise OSError(exc.errno, exc.strerror, path) from None
         return
     target = os.path.realpath(path)  # replace a symlink's target, not the link
     head, tail = os.path.split(target)

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -148,6 +149,59 @@ def test_long_columns_match_the_per_float_route(values, negate, seed, precision,
     assert text.split("\n") == expected
 
 
+def numpy_texts(column, precision, as_json):
+    """The texts the numpy formatter writes for a column: each row's nonzero bytes."""
+    rows = np.zeros((len(column), max(11 + precision, 22)), np.uint8)
+    cli._float_cells([column], precision, as_json, rows, [0], np.empty(56 * len(column), np.uint8))
+    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in rows]
+
+
+def rows_text(chunks, precision, as_json, literals):
+    """The text `cli._write_rows` writes for the columns of chunks of
+    CROSSOVER rows each, one list of columns per chunk, and the per-float
+    route's text for them."""
+    columns = [np.concatenate(parts) for parts in zip(*chunks)]
+    texts = [cli._float_texts(column, precision, as_json) for column in columns]
+    expected = "\n".join("".join(chain.from_iterable(zip(literals, [*row, ""]))) for row in zip(*texts))
+    with mock.patch.object(cli, "ROWS", cli.CROSSOVER):
+        got = oracles.rendered(lambda write: cli._write_rows(
+            write, len(columns[0]), lambda start, stop: [column[start:stop] for column in columns], literals, precision, as_json, "\n"
+        ))
+    return got, expected
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_a_chunk_of_short_cells_after_one_of_long_cells(as_json):
+    """The row matrix and the formatter's scratch are reused from chunk to
+    chunk, so a chunk of short texts must leave nothing of the long texts
+    before it: exponent cells and "-0.000" heads in the first chunk, none in
+    the second, and a column that varies in the first and repeats one value
+    in the second."""
+    rng = np.random.default_rng(7)
+    long = -rng.uniform(1.0, 9.0, cli.CROSSOVER) * 10.0 ** rng.choice([-9, -6, -4, 15], cli.CROSSOVER)
+    short = rng.integers(1, 64, cli.CROSSOVER) / 64
+    chunks = [[long, long[::-1], -short], [short, np.full(cli.CROSSOVER, 0.5), short[::-1]]]
+    got, expected = rows_text(chunks, 12, as_json, ["(", ";", ";", ")"])
+    oracles.assert_same_document(got, expected)
+    first, second = ("\n".join(part) for part in np.split(np.array(expected.split("\n")), [cli.CROSSOVER]))
+    assert "e-06" in first and "-0.000" in first and "e-" not in second and "0.000" not in second
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("precision", [6, 12, 13])
+def test_a_rest_text_wider_than_its_column_numpy_cells(precision, as_json):
+    """In a block of two columns, the per-float texts of negative subnormals
+    and of values below 1e-98 are wider than any text numpy writes in their
+    column of short values; they fill the cell, and the next column's cells
+    and the literals stay as they were."""
+    column = np.random.default_rng(precision).integers(1, 8, 2 * cli.CROSSOVER) / 8
+    column[[3, 500, 700]] = [-5e-324, -2.2250738585072014e-308, -1.2345678901234567e-120]
+    other = np.random.default_rng(1).uniform(-1.0, 1.0, 2 * cli.CROSSOVER)
+    got, expected = rows_text([[column[:cli.CROSSOVER], other[:cli.CROSSOVER]], [column[cli.CROSSOVER:], other[cli.CROSSOVER:]]],
+                              precision, as_json, ["[", ", ", "]"])
+    oracles.assert_same_document(got, expected)
+
+
 # Values at and beside the powers of ten where the exponent takes or loses a
 # third digit, and where the numpy formatter's two-digit exponents end.
 EXPONENT_EDGES = [
@@ -164,8 +218,7 @@ def test_exponent_edges_match_the_per_float_route(precision, as_json):
     CROSSOVER values that numpy formats."""
     column = np.random.default_rng(precision).uniform(-1.0, 1.0, cli.CROSSOVER)
     column[: len(EXPONENT_EDGES)] = EXPONENT_EDGES
-    cells = cli._float_cells(column, precision, as_json)
-    assert [bytes(row).replace(b"\0", b"").decode("ascii") for row in cells] == cli._float_texts(column, precision, as_json)
+    assert numpy_texts(column, precision, as_json) == cli._float_texts(column, precision, as_json)
 
 
 def nonconstant_chunks(report):
@@ -196,7 +249,7 @@ def test_numpy_formats_nearly_every_value_of_a_default_report(scenario, as_json)
     with mock.patch.object(cli, "_float_texts", count):
         for chunk in nonconstant_chunks(run_scenario(scenario, ScenarioConfig())):
             assert len(chunk) >= cli.CROSSOVER
-            cli._float_cells(chunk, 12, as_json)
+            numpy_texts(chunk, 12, as_json)
             total += len(chunk)
     assert sum(per_float) <= 0.01 * total
 

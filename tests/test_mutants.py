@@ -29,7 +29,8 @@ def test_ids_are_unique():
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant["id"])
 def test_the_mutant_applies_once(mutant):
-    assert sorted(mutant) == ["file", "id", "killed_by", "new", "old", "reason"]
+    assert {"file", "id", "killed_by", "new", "old", "reason"} <= set(mutant) <= {
+        "file", "id", "killed_by", "new", "old", "reason", "seconds", "status"}
     with open(os.path.join(ROOT, mutant["file"]), encoding="utf-8") as handle:
         assert handle.read().count(mutant["old"]) == 1
     assert mutant["new"] != mutant["old"]

@@ -185,6 +185,7 @@ COMMANDS = [
     (1, ["run", "sec5", "--out", "{tmp}/missing/out"]),
     # a directory that exists, where no file can be created
     (1, ["run", "sec5", *SMALL, "--out", "/proc/out"]),
+    (1, ["run", "sec5", *SMALL, "--out", "/dev/full"]),  # a write in place that fails names --out
     (1, ["run", "sec8", "--format", "json", "--out", "{tmp}/big"], "file-size-limit"),
     (0, ["list"], "entry"),
     (1, ["run", "sec9"], "entry"),

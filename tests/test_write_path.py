@@ -94,7 +94,8 @@ ROWS = [
           after={"res.csv": OLD}, ran=False) for out in ("", "res.csv/", "res.csv/.", "new/", "new/.")),
     # not a regular file: written in place
     Row("dev-null", SEC5, os.devnull, after={os.devnull: DEVICE}),
-    Row("dev-full", SEC5, "/dev/full", code=1, err=ENOSPC, after={"/dev/full": DEVICE}),
+    Row("dev-full", SEC5, "/dev/full", code=1, err="error: [Errno 28] No space left on device: '/dev/full'\n",
+        after={"/dev/full": DEVICE}),
     Row("fifo", SEC5, "fifo", before={"fifo": FIFO}, after={"fifo": REF}),
     # a descriptor, named or as the file open on fd 1 or 2: written through it
     *(Row(f"pipe-{out}", SUITE, out, stdout=REF) for out in ("/dev/stdout", "/dev/fd/1")),
@@ -102,7 +103,7 @@ ROWS = [
     *(Row(f"log-{out}", SEC5, out, how, {"log": OLD}, after={"log": OLD + REF})
       for out, how in (("/dev/stdout", ">> log"), ("/dev/stderr", "2>> log"), ("/dev/fd/3", "3>> log"),
                        ("/proc/self/fd/3", "3>> log"), ("log", "2>> log"))),
-    Row("stdin", SEC5, "/dev/stdin", code=1, err="error: [Errno 9] Bad file descriptor\n"),
+    Row("stdin", SEC5, "/dev/stdin", code=1, err="error: [Errno 9] Bad file descriptor: '/dev/stdin'\n"),
     Row("closed-fd", SEC5, "/dev/fd/900", code=1, err="error: /dev/fd/900: descriptor 900 is not open\n"),
     Row("huge-fd", SEC5, "/dev/fd/" + "9" * 20, code=1, err=f"error: /dev/fd/{'9' * 20}: descriptor {'9' * 20} is not open\n"),
     # no --out: stdout's binary buffer, or the text of a stdout without one
