@@ -121,7 +121,7 @@ def _collapse(ensemble: Ensemble, embedded: np.ndarray) -> Ensemble:
             f"outcome has probability {total_mass:.3e}; the state cannot collapse onto it"
         )
     kept_mass = math.fsum(mass for mass, _ in kept)
-    return Ensemble(tuple(Branch(mass / kept_mass, vec) for mass, vec in kept))
+    return Ensemble._computed(tuple(Branch._computed(mass / kept_mass, vec) for mass, vec in kept))
 
 
 def measure_all(ensemble: Ensemble, basis: MeasurementBasis) -> tuple[OutcomeBranch, ...]:

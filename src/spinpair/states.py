@@ -12,9 +12,10 @@ basis vectors UP and DOWN.
 
 The fixed states (UP, DOWN, the diagonal eigenstates DIAG_PLUS and
 DIAG_MINUS, and SINGLET) are built once, at import, as read-only arrays that
-every command shares. branch_bloch and reduced_bloch take validated values
-only, so they call the unchecked qmath kernels; a branch's norm and a Bloch
-vector's range are still checked where those values are constructed.
+every command shares. Branch(...) and Ensemble(...) check a caller's input;
+a collapse stores what it computes by their unchecked _computed routes.
+branch_bloch and reduced_bloch take validated values only, so they call the
+unchecked qmath kernels; BlochVector checks every vector it is given.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class Branch:
 
     def __post_init__(self) -> None:
         weight = float(self.weight)
-        if not np.isfinite(weight) or weight < -NORM_ATOL or weight > 1.0 + NORM_ATOL:
+        if not -NORM_ATOL <= weight <= 1.0 + NORM_ATOL:  # a NaN weight fails this too
             raise ValueError(f"branch weight must lie in [0, 1], got {weight!r}")
         vec = checked(self.vector, "branch vector", (4,))
         norm = float(np.linalg.norm(vec))
@@ -69,6 +70,15 @@ class Branch:
         vec.setflags(write=False)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "vector", vec)
+
+    @classmethod
+    def _computed(cls, weight: float, vector: np.ndarray) -> Branch:
+        """Unchecked: a float weight in [0, 1] and a fresh (4,) unit vector, made read-only here."""
+        vector.setflags(write=False)
+        branch = object.__new__(cls)
+        object.__setattr__(branch, "weight", weight)
+        object.__setattr__(branch, "vector", vector)
+        return branch
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +101,13 @@ class Ensemble:
             raise ValueError(f"branch weights must sum to 1, got {total!r}")
         object.__setattr__(self, "branches", branches)
 
+    @classmethod
+    def _computed(cls, branches: tuple[Branch, ...]) -> Ensemble:
+        """Unchecked: a tuple of computed branches whose weights sum to 1."""
+        ensemble = object.__new__(cls)
+        object.__setattr__(ensemble, "branches", branches)
+        return ensemble
+
 
 @dataclass(frozen=True)
 class BlochVector:
@@ -102,11 +119,10 @@ class BlochVector:
 
     def __post_init__(self) -> None:
         comps = (float(self.s1), float(self.s2), float(self.s3))
-        if not all(np.isfinite(c) for c in comps):
-            raise ValueError("Bloch components must be finite")
         norm_sq = comps[0] ** 2 + comps[1] ** 2 + comps[2] ** 2
-        if norm_sq > 1.0 + BLOCH_BALL_SLACK:
-            raise ValueError(f"Bloch vector lies outside the unit ball (|b|^2 = {norm_sq!r})")
+        if not norm_sq <= 1.0 + BLOCH_BALL_SLACK:  # a NaN or infinite component fails this too
+            raise ValueError("Bloch components must be finite" if not all(map(math.isfinite, comps))
+                             else f"Bloch vector lies outside the unit ball (|b|^2 = {norm_sq!r})")
         object.__setattr__(self, "s1", comps[0])
         object.__setattr__(self, "s2", comps[1])
         object.__setattr__(self, "s3", comps[2])

@@ -12,7 +12,11 @@ files of the record's `killed_by` ids (every test file when there are none,
 or with --all-tests), never tests/test_mutants.py, which fails on every
 mutant because the mutant removes its own `old` text. The record gets back
 its `status` (killed, survived or timeout), the ids of the tests that failed
-as `killed_by`, and the `seconds` the run took.
+as `killed_by`, and the `seconds` the run took. A record kept as
+`"status": "equivalent"`, with the reason no test can tell it from the
+program in `equivalent`, is run on every test file too; it stays equivalent
+while nothing fails, and the run says so when a test now kills it, whose
+reason tests/test_mutants.py then reports as stale.
 """
 
 import json
@@ -76,7 +80,8 @@ def run(mutant, every: bool) -> dict:
             return {**mutant, "status": "timeout", "seconds": TIMEOUT_S}
         seconds = round(time.perf_counter() - start, 1)
         killers = failed_ids(report)
-    return {**mutant, "status": "killed" if killers else "survived", "killed_by": killers, "seconds": seconds}
+    status = "killed" if killers else "equivalent" if mutant.get("status") == "equivalent" else "survived"
+    return {**mutant, "status": status, "killed_by": killers, "seconds": seconds}
 
 
 def main(args) -> None:
@@ -89,6 +94,8 @@ def main(args) -> None:
             continue
         mutants[k] = run(mutant, every)
         print(f"{mutant['id']}: {mutants[k]['status']}, {len(mutants[k]['killed_by'])} tests, {mutants[k]['seconds']} s", flush=True)
+        if mutant.get("status") == "equivalent" and mutants[k]["status"] != "equivalent":
+            print(f"{mutant['id']}: recorded as equivalent, now {mutants[k]['status']}: its reason no longer holds", flush=True)
         with open(LIST, "w", encoding="utf-8") as handle:  # after each record, so a cut run keeps what it found
             handle.write("[\n" + ",\n".join("  " + json.dumps(record) for record in mutants) + "\n]\n")
 

@@ -20,7 +20,10 @@ here; none of these run in a `spinpair` command.
   take one projector at a time; collapse goes through the production
   branch-wise `measurement._collapse`, which the tests check against the
   projected density matrix. joint_probability_total embeds its proposition
-  on the system side, which no production route does.
+  on the system side, which no production route does. `_collapse` builds
+  its branches and ensemble unchecked, so collapse passes what it returns
+  through assert_computed_ensemble, the checks `Branch` and `Ensemble` make
+  of a caller's input.
 * Nonlinear dynamics. integrate_rk4 steps eom_rhs with classical
   Runge-Kutta and never sees the rotation kernel; closed_form evaluates the
   production kernel `dynamics_nonlinear._rotation_points` at one time, so
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 from dataclasses import asdict, dataclass
 
@@ -46,7 +50,7 @@ from spinpair.dynamics_nonlinear import Trajectory, _rotation_points, time_grid
 from spinpair.measurement import OutcomeBranch, _collapse
 from spinpair.qmath import ATOL, IDENTITY_2, MEAN_IMAG_TOL, PAULI, ConsistencyError, checked
 from spinpair.scenarios import ScenarioReport
-from spinpair.states import BlochVector, Branch, Ensemble, density_of
+from spinpair.states import NORM_ATOL, BlochVector, Branch, Ensemble, density_of
 
 
 def rendered(render) -> str:
@@ -221,12 +225,29 @@ def outcome_probability(ensemble: Ensemble, effect) -> float:
     return mean_value(embedded, density_of(ensemble))
 
 
+def assert_computed_ensemble(ensemble: Ensemble) -> Ensemble:
+    """ensemble, once it passes what the Branch and Ensemble constructors
+    check of a caller's input: a tuple of Branch values, each a float weight
+    in [0, 1] and a read-only, finite, normalized complex (4,) vector, whose
+    weights sum to 1. A NaN fails each comparison."""
+    assert isinstance(ensemble, Ensemble) and isinstance(ensemble.branches, tuple)
+    for branch in ensemble.branches:
+        assert isinstance(branch, Branch), type(branch)
+        assert type(branch.weight) is float and -NORM_ATOL <= branch.weight <= 1.0 + NORM_ATOL, branch.weight
+        vector = branch.vector
+        assert vector.shape == (4,) and vector.dtype == complex and not vector.flags.writeable
+        assert np.all(np.isfinite(vector)) and abs(float(np.linalg.norm(vector)) - 1.0) <= NORM_ATOL, vector
+    total = math.fsum(branch.weight for branch in ensemble.branches)
+    assert abs(total - 1.0) <= NORM_ATOL, total
+    return ensemble
+
+
 def collapse(ensemble: Ensemble, effect) -> Ensemble:
     """Project every branch onto the remote outcome, drop annihilated branches, reweight.
 
     Raises ImpossibleOutcomeError when the outcome has zero probability.
     """
-    return _collapse(ensemble, np.kron(IDENTITY_2, _require_projector(effect)))
+    return assert_computed_ensemble(_collapse(ensemble, np.kron(IDENTITY_2, _require_projector(effect))))
 
 
 def joint_probability_total(proposition, outcomes: tuple[OutcomeBranch, ...]) -> float:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import collapse, joint_probability_total, mean_value, outcome_probability
+from oracles import assert_computed_ensemble, collapse, joint_probability_total, mean_value, outcome_probability
 from random_inputs import random_basis, random_ensemble, random_projector_2
 from spinpair.measurement import (
     PROB_FLOOR,
@@ -143,7 +143,8 @@ class TestCollapse:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_matrix_level_projection(self, seed):
         """Every outcome measure_all reports has exactly outcome_probability's
-        probability, and its post-state, like collapse's, reproduces
+        probability, and its post-state, unchecked when built, passes the
+        constructors' checks and, like collapse's, reproduces
         E Pi E / Tr[E Pi E] entrywise; the outcomes it drops cannot fire."""
         rng = np.random.default_rng(seed)
         ens = random_ensemble(rng)
@@ -156,6 +157,7 @@ class TestCollapse:
         for outcome in outcomes:
             effect = basis.projectors[outcome.outcome_index]
             assert outcome.probability == probs[outcome.outcome_index]
+            assert_computed_ensemble(outcome.post_state)
             if outcome.probability < 1e-6:  # renormalizing amplifies roundoff past ATOL
                 continue
             expected = luders_density(ens, effect)

@@ -122,17 +122,16 @@ KEEP = {
     ("qmath.projector", 'raise ValueError(f"vector must be normalized, got norm {norm!r}")'):
         "a projector onto an unnormalized vector is not idempotent",
     ("states.Branch.__post_init__", 'raise ValueError(f"branch weight must lie in [0, 1], got {weight!r}")'):
-        "a computed weight outside [0, 1] is a bug upstream",
+        "a caller's weight outside [0, 1] is no probability",
     ("states.Branch.__post_init__", 'raise ValueError(f"branch vector must be normalized, got norm {norm!r}")'):
-        "a computed branch off the unit sphere is a bug upstream",
+        "a caller's vector off the unit sphere is no pure state",
     ("states.Ensemble.__post_init__", 'raise TypeError(f"ensemble branches must be Branch values, got {type(branch)!r}")'):
-        "only a Branch carries a checked weight and vector",
+        "an ensemble holds Branch values, whose weights and vectors its readers take as they are",
     ("states.Ensemble.__post_init__", 'raise ValueError(f"branch weights must sum to 1, got {total!r}")'):
-        "a computed mixture whose weights do not sum to 1 is a bug upstream",
-    ("states.BlochVector.__post_init__", 'raise ValueError("Bloch components must be finite")'):
-        "a non-finite mean value is a bug upstream",
-    ("states.BlochVector.__post_init__", 'raise ValueError(f"Bloch vector lies outside the unit ball (|b|^2 = {norm_sq!r})")'):
-        "a mean value outside the ball is no state",
+        "a caller's mixture whose weights do not sum to 1 is no preparation",
+    ("states.BlochVector.__post_init__",
+     'raise ValueError("Bloch components must be finite" if not all(map(math.isfinite, comps))'):
+        "a non-finite mean value, or one outside the ball, is no state",
     ("states.branch_bloch", "raise NotProductError("):
         "an entangled branch has no system factor to evolve on its own",
     ("states._weighted_parts", 'raise ValueError(f"{name} weights must sum to 1, got {total!r}")'):

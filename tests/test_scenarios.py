@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinpair import cli, dynamics_nonlinear, scenarios
+from oracles import assert_computed_ensemble
+from spinpair import cli, dynamics_nonlinear, measurement, scenarios
 from spinpair.cli import BY_NAME, main
 from spinpair.dynamics_nonlinear import ROWS, time_grid
 from spinpair.scenarios import (
@@ -36,7 +37,7 @@ from spinpair.scenarios import (
     run_scenario,
 )
 from spinpair.measurement import MeasurementBasis
-from spinpair.states import Ensemble
+from spinpair.states import Branch, Ensemble
 
 SQRT2 = np.sqrt(2.0)
 
@@ -122,6 +123,7 @@ class TestScenarioConfig:
             ScenarioConfig(epsilon=-1e306, t_max=1000.0, dt=1.0)
 
     def test_trials_cap(self):
+        ScenarioConfig(trials=1)
         ScenarioConfig(trials=MAX_TRIALS)
         with pytest.raises(ValueError, match="trials"):
             ScenarioConfig(trials=MAX_TRIALS + 1)
@@ -130,6 +132,9 @@ class TestScenarioConfig:
     def test_rejects_a_trial_count_that_is_not_an_integer(self, value):
         with pytest.raises(ValueError, match="trials must be an integer"):
             ScenarioConfig(trials=value)
+
+    def test_seed_zero_is_accepted(self):
+        assert ScenarioConfig(seed=0).seed == 0
 
     @pytest.mark.parametrize("value", [-1, 1.5, None])
     def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, value):
@@ -518,3 +523,35 @@ class TestSharedState:
                 outputs[argv] = path.read_bytes()
             written.append(outputs)
         assert written[0] == written[1]
+
+    @pytest.mark.parametrize(
+        "variant", [["sec5"], ["sec6"], ["sec7"], ["sec8", "--basis", "updown"], ["sec8", "--basis", "diag"]]
+    )
+    def test_computed_states_skip_the_constructor_checks(self, variant, tmp_path, monkeypatch):
+        """A 101-point command, after import, checks in Branch.__post_init__
+        and Ensemble.__post_init__ only the preparations it builds from its
+        config: none of the branches or ensembles measurement._collapse
+        returns. Each of those still passes the constructors' checks, here
+        in the oracle."""
+        checked, collapsed = [], []  # held, so no id is reused
+
+        def spy(post_init):
+            def checking(self):
+                checked.append(self)
+                post_init(self)
+            return checking
+
+        def collapse(ensemble, embedded, _collapse=measurement._collapse):
+            collapsed.append(_collapse(ensemble, embedded))
+            return collapsed[-1]
+
+        for cls in (Branch, Ensemble):
+            monkeypatch.setattr(cls, "__post_init__", spy(cls.__post_init__))
+        monkeypatch.setattr(measurement, "_collapse", collapse)
+        argv = ["run", *variant, "--t-max", "10", "--dt", "0.1", "--p", "0.3", "--epsilon", "1.5", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert collapsed  # every contrast measures the remote spin in one arm at least
+        seen = {id(value) for value in checked}
+        for ensemble in collapsed:
+            assert_computed_ensemble(ensemble)
+            assert seen.isdisjoint(map(id, (ensemble, *ensemble.branches)))
