@@ -10,7 +10,9 @@ deviation it found.
 The suite works on trials in batches of at most CHUNK. draw_trials draws a
 batch as stacked arrays, trial axis first. trial_probabilities moves that
 axis last, so an operator is a (4, 4, n) array and every product, density
-and trace over the batch is a few elementwise operations on n-long rows.
+and trace over the batch is a few elementwise operations on n-long rows;
+operator-sized results go through out= into one Workspace every chunk of a
+suite reuses, with the ufuncs and order of fresh arrays, so the same bits.
 Each route is still computed the long way round (collapse onto each remote
 outcome, the full composite Heisenberg operator, evolution of the collapsed
 branches), so no checked identity holds by construction. The per-trial
@@ -21,15 +23,16 @@ oracle for the batched kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measurement import PROB_FLOOR
-from .qmath import IDENTITY_2, MEAN_IMAG_TOL, PAULI, ConsistencyError
+from .qmath import IDENTITY_2, MEAN_IMAG_TOL, ConsistencyError
 
-# Trials per batch. The suite's working memory is one batch (about 18 MB
-# traced at this size), whatever the trial count.
+# Trials per batch. The suite's working memory is one batch, its draw and its
+# workspace (about 21 MB traced at this size), whatever the trial count.
 CHUNK = 4096
 
 # Branch slots per trial: an ensemble has 1 to 4 branches, and the slots
@@ -92,7 +95,7 @@ class TrialProbabilities:
 
 def _random_vectors(rng: np.random.Generator, shape: tuple[int, ...], dim: int) -> np.ndarray:
     """Normalized complex Gaussian vectors, uniform on the unit sphere."""
-    vec = rng.standard_normal((*shape, dim)) + 1.0j * rng.standard_normal((*shape, dim))
+    vec = np.stack([rng.standard_normal((*shape, dim)), rng.standard_normal((*shape, dim))], axis=-1).view(complex)[..., 0]
     return vec / np.linalg.norm(vec, axis=-1, keepdims=True)
 
 
@@ -102,12 +105,14 @@ def _random_projectors(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _random_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Spin rotations with uniform random axis and uniform angle in [0, 2*pi)."""
+    """Spin rotations with uniform random axis and uniform angle in [0, 2*pi):
+    cos(a/2) I - i sin(a/2) (axis . sigma) as each entry's real and imaginary
+    part, a cosine or one product: the bits of tests/oracles.py spin_rotations."""
     axis = rng.standard_normal((n, 3))
     axis /= np.linalg.norm(axis, axis=1, keepdims=True)
-    half = 0.5 * rng.uniform(0.0, 2.0 * np.pi, n)[:, None, None]
-    n_dot_sigma = np.einsum("nk,kij->nij", axis, PAULI)
-    return np.cos(half) * IDENTITY_2 - 1.0j * np.sin(half) * n_dot_sigma
+    half = 0.5 * rng.uniform(0.0, 2.0 * np.pi, n)
+    c, (x, y, z) = np.cos(half), (np.sin(half)[:, None] * axis).T
+    return np.stack([c, -z, -y, -x, y, -x, c, z], axis=1).view(complex).reshape(n, 2, 2)
 
 
 def draw_trials(rng: np.random.Generator, n: int) -> TrialBatch:
@@ -139,46 +144,72 @@ def draw_trials(rng: np.random.Generator, n: int) -> TrialBatch:
 EYE = IDENTITY_2[:, :, None]  # broadcasts over the trial axis
 
 
-def _trials_last(a: np.ndarray, *axes: int) -> np.ndarray:
+class Workspace:
+    """Scratch for trial_probabilities on up to n trials: one complex block whose
+    top is handed out as contiguous arrays, each a whole number of words per
+    trial, and given back stack-wise. A suite's chunks all run in one."""
+
+    WORDS_PER_TRIAL = 222  # the peak of trial_probabilities' stack
+
+    def __init__(self, n: int):
+        self.block, self.top = np.empty(self.WORDS_PER_TRIAL * n, complex), 0
+
+    def take(self, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+        """An uninitialised array of the given shape, trial axis last."""
+        words = -(-math.prod(shape[:-1]) * np.dtype(dtype).itemsize // 16)  # per trial, rounded up
+        start, self.top = self.top, self.top + words * shape[-1]
+        return self.block[start : self.top].view(dtype)[: math.prod(shape)].reshape(shape)
+
+
+def _trials_last(ws: Workspace, a: np.ndarray, *axes: int) -> np.ndarray:
     """A TrialBatch field with its other axes in the given order, then the trial axis."""
-    return np.ascontiguousarray(a.transpose(*axes, 0))
-
-
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(0, 1)
-
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix products a (i, j, ...) times b (j, c, ...), giving (i, c, ...);
-    the axes after the first two broadcast, the trial axis last."""
-    out = a[:, 0, None] * b[0]
-    for j in range(1, len(b)):
-        out += a[:, j, None] * b[j]
+    moved = a.transpose(*axes, 0)
+    np.copyto(out := ws.take(moved.shape, a.dtype), moved)
     return out
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products of stacked 2x2 operators (2, 2, ...), system factor slow."""
-    rest = np.broadcast_shapes(a.shape[2:], b.shape[2:])
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4, *rest)
+def _mul(ws: Workspace, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Matrix products a (i, j, ...) times b (j, c, ...) into out (i, c, ...);
+    the axes after the first two broadcast, the trial axis last."""
+    mark = ws.top
+    term = ws.take(out.shape)
+    np.multiply(a[:, 0, None], b[0], out=out)
+    for j in range(1, len(b)):
+        out += np.multiply(a[:, j, None], b[j], out=term)
+    ws.top = mark
+    return out
 
 
-def _density(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Weighted sums of branch projectors: (b, ...) weights, (4, b, ...) vectors."""
-    rho = np.zeros((4, 4, *vectors.shape[2:]), complex)
+def _kron(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Kronecker products of stacked 2x2 operators (2, 2, ...) into out, system factor slow."""
+    np.multiply(a[:, None, :, None], b[None, :, None, :], out=out.reshape(2, 2, 2, 2, *out.shape[2:]))
+    return out
+
+
+def _density(ws: Workspace, weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Weighted sums of branch projectors, taken from ws: (b, ...) weights, (4, b, ...) vectors."""
+    out = ws.take((4, 4, *vectors.shape[2:]))
+    out.fill(0.0)
+    mark = ws.top
+    scaled, conj, outer = (ws.take(shape) for shape in (vectors[:, 0].shape, vectors[:, 0].shape, out.shape))
     for w, psi in zip(weights, vectors.swapaxes(0, 1)):
-        rho += (w * psi)[:, None] * psi.conj()[None]
-    return rho
+        out += np.multiply(np.multiply(w, psi, out=scaled)[:, None], np.conjugate(psi, out=conj)[None], out=outer)
+    ws.top = mark
+    return out
 
 
-def _expect(operator: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _expect(ws: Workspace, operator: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Real expectations Tr(operator rho) over stacks; ConsistencyError when an
     imaginary residue exceeds MEAN_IMAG_TOL, as qmath._real_traces raises. The
     terms are added in order: numpy would sum a lone trial's terms pairwise, so
     a trial's bits would depend on its batch."""
-    terms = operator * rho.swapaxes(0, 1)
-    terms = terms.reshape(-1, *terms.shape[2:])
-    value = sum(terms[1:], terms[0])
+    mark = ws.top
+    terms = ws.take(np.broadcast_shapes(operator.shape, rho.shape))
+    terms = np.multiply(operator, rho.swapaxes(0, 1), out=terms).reshape(-1, *terms.shape[2:])
+    value = terms[0] + terms[1]
+    for term in terms[2:]:
+        value += term
+    ws.top = mark
     residue = float(np.max(np.abs(value.imag)))
     if not residue <= MEAN_IMAG_TOL:
         raise ConsistencyError(
@@ -188,46 +219,63 @@ def _expect(operator: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return value.real
 
 
-def _collapse(weights, psi, basis, rho):
+def _advanced(ws: Workspace, w: np.ndarray, q: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr(w^dagger q w rho)."""
+    mark = ws.top
+    left = _mul(ws, np.conjugate(w, out=ws.take(w.shape)).swapaxes(0, 1), q, ws.take(w.shape))
+    value = _expect(ws, _mul(ws, left, w, ws.take(w.shape)), rho)
+    ws.top = mark
+    return value
+
+
+def _collapse(ws: Workspace, weights, psi, basis, rho):
     """Every branch collapsed onto each remote outcome I x P_k, as measure_all
-    does: the outcome probabilities (k, n), 0 for an outcome that does not
-    fire, and the post-measurement weights (b, k, n) and branches (4, b, k, n)."""
-    remote = _kron(EYE[..., None], basis)
-    prob = _expect(remote, rho[:, :, None])
-    post = _mul(remote, psi[:, :, None])
-    overlap = (post.real**2 + post.imag**2).sum(axis=0)
+    does: the outcome probabilities (k, n), 0 for an outcome that does not fire,
+    and the post-measurement weights (b, k, n) and branches (4, b, k, n), in ws."""
+    post = ws.take((4, len(weights), *basis.shape[2:]))
+    mark = ws.top
+    remote = _kron(EYE[..., None], basis, ws.take((4, 4, *basis.shape[2:])))
+    prob = _expect(ws, remote, rho[:, :, None])
+    _mul(ws, remote, psi[:, :, None], post)
+    squares = np.square(post.real, out=ws.take(post.shape, float))
+    overlap = np.add(squares, np.square(post.imag, out=ws.take(post.shape, float)), out=squares).sum(axis=0)
+    ws.top = mark
     kept = overlap > PROB_FLOOR
     mass = np.where(kept, weights[:, None] * overlap, 0.0)
     kept_mass = mass.sum(axis=0)
-    post /= np.sqrt(np.where(kept, overlap, 1.0))
+    overlap[~kept] = 1.0
+    post /= np.sqrt(overlap, out=overlap)
     # an outcome that keeps no branch does not fire; its post-state stays zero
     return np.where(prob > PROB_FLOOR, prob, 0.0), mass / np.where(kept_mass > 0.0, kept_mass, 1.0), post
 
 
-def trial_probabilities(batch: TrialBatch) -> TrialProbabilities:
+def trial_probabilities(batch: TrialBatch, ws: Workspace | None = None) -> TrialProbabilities:
     """Every route of every trial in the batch; see TrialProbabilities. The
-    batch is taken as draw_trials draws it and is not validated."""
-    weights = _trials_last(batch.weights, 1)  # (b, n)
-    psi = _trials_last(batch.vectors, 2, 1)  # (4, b, n): branch vectors as columns
-    basis = _trials_last(batch.basis, 2, 3, 1)  # (2, 2, k, n)
-    q, u, v, v_alt = (_trials_last(m, 1, 2) for m in (batch.proposition, batch.u, batch.v, batch.v_alt))
-    rho = _density(weights, psi)
-    rho_sys = rho.reshape(2, 2, 2, 2, -1).trace(axis1=1, axis2=3)
-    q_composite = _kron(q, EYE)
-    w, w_alt = _kron(u, v), _kron(u, v_alt)
-    outcome_prob, post_weights, branches = _collapse(weights, psi, basis, rho)
-    q_outcomes = q_composite[:, :, None]
-    joint = outcome_prob * _expect(q_outcomes, _density(post_weights, branches))
-    branches[...] = _mul(w[:, :, None], branches)  # evolve in place: no second copy held
-    interposed = outcome_prob * _expect(q_outcomes, _density(post_weights, branches))
-    return TrialProbabilities(
-        direct=_expect(q, rho_sys),
-        joint=joint.sum(axis=0),
-        heisenberg=_expect(_mul(_mul(_adjoint(w), q_composite), w), rho),
-        heisenberg_alt=_expect(_mul(_mul(_adjoint(w_alt), q_composite), w_alt), rho),
-        reduced=_expect(_mul(_mul(_adjoint(u), q), u), rho_sys),
-        interposed=interposed.sum(axis=0),
-    )
+    batch is taken as draw_trials draws it and is not validated. Its scratch
+    is ws, which must have room for it, or a workspace of its own."""
+    ws = Workspace(len(batch.branches)) if ws is None else ws
+    mark = ws.top
+    weights = _trials_last(ws, batch.weights, 1)  # (b, n)
+    psi = _trials_last(ws, batch.vectors, 2, 1)  # (4, b, n): branch vectors as columns
+    basis = _trials_last(ws, batch.basis, 2, 3, 1)  # (2, 2, k, n)
+    q, u, v, v_alt = (_trials_last(ws, m, 1, 2) for m in (batch.proposition, batch.u, batch.v, batch.v_alt))
+    rho = _density(ws, weights, psi)
+    rho_sys = rho.reshape(2, 2, 2, 2, -1).trace(axis1=1, axis2=3, out=ws.take(q.shape))
+    q_composite = _kron(q, EYE, ws.take(rho.shape))
+    w, w_alt = _kron(u, v, ws.take(rho.shape)), _kron(u, v_alt, ws.take(rho.shape))
+    outcome_prob, post_weights, branches = _collapse(ws, weights, psi, basis, rho)
+    q_outcomes, collapsed = q_composite[:, :, None], ws.top
+    joint = (outcome_prob * _expect(ws, q_outcomes, _density(ws, post_weights, branches))).sum(axis=0)
+    ws.top = collapsed
+    np.copyto(branches, _mul(ws, w[:, :, None], branches, ws.take(branches.shape)))  # evolve in place
+    ws.top = collapsed
+    interposed = (outcome_prob * _expect(ws, q_outcomes, _density(ws, post_weights, branches))).sum(axis=0)
+    ws.top = collapsed
+    direct = _expect(ws, q, rho_sys)
+    heisenberg, heisenberg_alt = _advanced(ws, w, q_composite, rho), _advanced(ws, w_alt, q_composite, rho)
+    reduced = _advanced(ws, u, q, rho_sys)
+    ws.top = mark
+    return TrialProbabilities(direct, joint, heisenberg, heisenberg_alt, reduced, interposed)
 
 
 def no_signalling_suite(trials: int, rng_seed: int) -> NoSignallingReport:
@@ -247,9 +295,10 @@ def no_signalling_suite(trials: int, rng_seed: int) -> NoSignallingReport:
     a pure function of (trials, rng_seed).
     """
     rng = np.random.default_rng(rng_seed)
+    ws = Workspace(min(trials, CHUNK))
     worst = np.zeros(3)
     for start in range(0, trials, CHUNK):
-        p = trial_probabilities(draw_trials(rng, min(CHUNK, trials - start)))
+        p = trial_probabilities(draw_trials(rng, min(CHUNK, trials - start)), ws)
         gaps = (p.joint - p.direct, p.heisenberg - p.heisenberg_alt, p.interposed - p.reduced)
         worst = np.maximum(worst, [np.max(np.abs(gap)) for gap in gaps])
     return NoSignallingReport(trials, rng_seed, *(float(x) for x in worst))

@@ -17,11 +17,16 @@ as `killed_by`, and the `seconds` the run took. A record kept as
 program in `equivalent`, is run on every test file too; it stays equivalent
 while nothing fails, and the run says so when a test now kills it, whose
 reason tests/test_mutants.py then reports as stale.
+
+The child runs in a session of its own, and its whole process group is
+killed once it ends, times out, or the script is stopped by SIGTERM or
+SIGINT, so no test process or grandchild of one outlives the run.
 """
 
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -56,6 +61,23 @@ def failed_ids(report: str) -> list:
     return sorted(ids)
 
 
+def run_child(argv, cwd: str, env: dict, timeout: float) -> bool:
+    """Run argv in a new session with its output dropped; False if it timed
+    out. Every process left in its group is killed before this returns."""
+    child = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        child.wait(timeout=timeout)
+        return True
+    except subprocess.TimeoutExpired:
+        return False
+    finally:
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the group is empty
+            pass
+        child.wait()
+
+
 def run(mutant, every: bool) -> dict:
     with tempfile.TemporaryDirectory() as copy:
         for name in ("src", "tests"):
@@ -73,10 +95,7 @@ def run(mutant, every: bool) -> dict:
         report = os.path.join(copy, "report.xml")
         argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", *test_files(mutant, every)]
         start = time.perf_counter()
-        try:
-            subprocess.run(argv, cwd=copy, env={**os.environ, "PYTHONPATH": os.path.join(copy, "src")},
-                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S, check=False)
-        except subprocess.TimeoutExpired:
+        if not run_child(argv, copy, {**os.environ, "PYTHONPATH": os.path.join(copy, "src")}, TIMEOUT_S):
             return {**mutant, "status": "timeout", "seconds": TIMEOUT_S}
         seconds = round(time.perf_counter() - start, 1)
         killers = failed_ids(report)
@@ -85,6 +104,7 @@ def run(mutant, every: bool) -> dict:
 
 
 def main(args) -> None:
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))  # unwinds through run_child's finally
     every = "--all-tests" in args
     wanted = [arg for arg in args if arg != "--all-tests"]
     with open(LIST, encoding="utf-8") as handle:

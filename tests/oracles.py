@@ -15,7 +15,10 @@ here; none of these run in a `spinpair` command.
   routes must match them byte for byte; `rendered` joins what they stream.
 * Linear dynamics. ProductUnitary, evolve and heisenberg_probability are the
   per-trial forms of the routes that `dynamics_linear.trial_probabilities`
-  evaluates on stacks of trials.
+  evaluates on stacks of trials. spin_rotations draws the suite's random
+  rotations as cos(a/2) I - i sin(a/2) (n . sigma) through an einsum with the
+  Pauli matrices; `dynamics_linear._random_unitaries` writes the same matrices
+  entry by entry and must give the same bits.
 * Measurement. outcome_probability, collapse and joint_probability_total
   take one projector at a time; collapse goes through the production
   branch-wise `measurement._collapse`, which the tests check against the
@@ -291,6 +294,16 @@ def evolve(ensemble: Ensemble, uv: ProductUnitary) -> Ensemble:
     """Apply the product unitary to every branch; weights are untouched."""
     w = uv.composite()
     return Ensemble(tuple(Branch(b.weight, w @ b.vector) for b in ensemble.branches))
+
+
+def spin_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n spin rotations, drawn as `dynamics_linear._random_unitaries` draws
+    them: uniform random axis, uniform angle in [0, 2*pi)."""
+    axis = rng.standard_normal((n, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    half = 0.5 * rng.uniform(0.0, 2.0 * np.pi, n)[:, None, None]
+    n_dot_sigma = np.einsum("nk,kij->nij", axis, PAULI)
+    return np.cos(half) * IDENTITY_2 - 1.0j * np.sin(half) * n_dot_sigma
 
 
 def heisenberg_probability(proposition, uv: ProductUnitary, ensemble: Ensemble) -> float:

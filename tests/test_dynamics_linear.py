@@ -25,6 +25,7 @@ from oracles import (
     joint_probability_total,
     mean_value,
     pauli,
+    spin_rotations,
 )
 from random_inputs import (
     random_ensemble,
@@ -36,6 +37,8 @@ from spinpair.dynamics_linear import (
     CHUNK,
     NoSignallingReport,
     TrialBatch,
+    Workspace,
+    _random_unitaries,
     draw_trials,
     no_signalling_suite,
     trial_probabilities,
@@ -267,6 +270,56 @@ class TestBatchedKernel:
         weights[0, 1] -= 1e-3j
         with pytest.raises(ConsistencyError, match="imaginary residue"):
             trial_probabilities(replace(batch, weights=weights))
+
+
+class TestWorkspace:
+    """trial_probabilities runs in one Workspace block that a suite reuses
+    from chunk to chunk; the block must leave no trace in the results."""
+
+    @pytest.mark.parametrize("sizes", [(CHUNK, 5), (5, CHUNK)], ids=["full-then-short", "short-then-full"])
+    def test_a_reused_workspace_gives_the_bits_of_fresh_ones(self, sizes):
+        """Each batch's routes, read after the other batch ran in the same
+        block, have the bits of an evaluation in a workspace of its own: no
+        accumulator keeps what the other batch left, and no result is a view
+        of the block."""
+        batches = [draw_trials(np.random.default_rng(80 + k), n) for k, n in enumerate(sizes)]
+        ws = Workspace(CHUNK)
+        reused = [trial_probabilities(batch, ws) for batch in batches]
+        assert ws.top == 0
+        for batch, got in zip(batches, reused):
+            fresh = trial_probabilities(batch)
+            for route in ROUTES:
+                assert getattr(got, route).tobytes() == getattr(fresh, route).tobytes(), route
+
+    def test_the_block_is_sized_to_the_peak(self):
+        """Workspace.WORDS_PER_TRIAL words per trial are what the kernel's stack reaches:
+        a block one word shorter does not hold a batch."""
+        batch = draw_trials(np.random.default_rng(82), 3)
+        ws = Workspace(3)
+        ws.block = ws.block[:-1]
+        with pytest.raises(ValueError):
+            trial_probabilities(batch, ws)
+
+    def test_a_chunk_allocates_little_beside_its_workspace(self):
+        """Evaluating a CHUNK-trial batch into an existing workspace allocates
+        less than a tenth of the block's bytes (the result rows and a few
+        small arrays), whatever the C allocator does with freed memory."""
+        batch = draw_trials(np.random.default_rng(83), CHUNK)
+        ws = Workspace(CHUNK)
+        tracemalloc.start()
+        trial_probabilities(batch, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 0.1 * ws.block.nbytes
+
+    def test_closed_form_rotations_match_the_einsum_oracle(self):
+        """The rotations written entry by entry have the bits of the einsum
+        with the Pauli matrices, signed zeros included, on the pinned seed's
+        draws."""
+        for n in (1, 7, CHUNK + 3):
+            got = _random_unitaries(np.random.default_rng(DRAW_SEED), n)
+            expected = spin_rotations(np.random.default_rng(DRAW_SEED), n)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), n
 
 
 class TestNoSignallingSuite:

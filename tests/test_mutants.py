@@ -16,6 +16,8 @@ import ast
 import functools
 import json
 import os
+import sys
+import time
 
 import pytest
 
@@ -80,3 +82,34 @@ def test_the_kill_run_kills_a_recorded_mutant():
     assert (result["status"], result["killed_by"]) == ("killed", record["killed_by"])
     with open(path, "rb") as handle:
         assert handle.read() == before
+
+
+def running(pid: int) -> bool:
+    """Whether process pid exists and is not a zombie (Linux /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_a_timed_out_run_leaves_no_process_behind(tmp_path):
+    """The kill run's child runs in its own session, and a timeout kills its
+    whole process group: the child, and a sleeping grandchild it started,
+    are both gone once run_child returns."""
+    pids = tmp_path / "pids"
+    script = (
+        "import os, subprocess, sys, time\n"
+        "grandchild = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(120)'])\n"
+        f"with open({str(pids)!r} + '.tmp', 'w') as handle:\n"
+        "    handle.write(f'{os.getpid()} {grandchild.pid}')\n"
+        f"os.rename({str(pids)!r} + '.tmp', {str(pids)!r})\n"
+        "time.sleep(120)\n"
+    )
+    assert mutants.run_child([sys.executable, "-c", script], str(tmp_path), dict(os.environ), timeout=3) is False
+    child, grandchild = map(int, pids.read_text().split())
+    deadline = time.monotonic() + 10
+    while (running(child) or running(grandchild)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not running(child) and not running(grandchild)
